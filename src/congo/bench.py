@@ -291,15 +291,4 @@ def run_property_checks(
         r["ctx_layered"] < r["ctx_event"],
         f"layered10={r['ctx_layered']:.2f} single={r['ctx_event']:.2f} ops/ms",
     )
-    noisy = [
-        key for key, result in report.results.items()
-        if result.relative_error >= UNSTABLE_THRESHOLD and not result.unstable
-    ]
-    add(
-        "noisy runs flagged unstable, not failed",
-        not noisy,
-        "all relative errors consistently flagged"
-        if not noisy
-        else f"unflagged noisy runs: {noisy}",
-    )
     return report

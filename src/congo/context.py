@@ -26,7 +26,7 @@ def is_scalar(value: object) -> bool:
     return isinstance(value, (bool, int, float, str))
 
 
-def _is_number(value: object) -> bool:
+def is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
@@ -98,7 +98,7 @@ class WeatherContext(ContextDescriptor):
 
     def evaluate(self, store) -> FrozenSet[str]:
         rainfall = store.get(self.name, "rainfall_mm")
-        if _is_number(rainfall) and rainfall >= self.RAINFALL_THRESHOLD_MM:
+        if is_number(rainfall) and rainfall >= self.RAINFALL_THRESHOLD_MM:
             return frozenset({"RAINY"})
         return frozenset({"CLEAR"})
 
@@ -109,7 +109,7 @@ class BatteryContext(ContextDescriptor):
 
     def evaluate(self, store) -> FrozenSet[str]:
         charge = store.get(self.name, "charge_pct")
-        if _is_number(charge) and charge < self.LOW_CHARGE_PCT:
+        if is_number(charge) and charge < self.LOW_CHARGE_PCT:
             return frozenset({"LOW"})
         return frozenset({"OK"})
 

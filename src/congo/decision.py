@@ -2,9 +2,11 @@
 
 A call site never chooses variants itself.  It packages the invocation
 (variants, meta snapshot, epoch) into an :class:`InvocationRequest` and
-either sends it over the bus (event dispatch) or calls ``decide``
-synchronously (direct dispatch).  The reply is an ordered chain of
-variant ids, outermost first.
+either sends it over the bus (event dispatch) or hands it straight to
+the decision maker (direct dispatch).  Both transports share one decide
+step, :func:`decide_or_fail`, so a reply is either a
+:class:`DecisionResponse` (an ordered chain of variant ids, outermost
+first) or a :class:`DecisionFailure`, whichever way it travelled.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from .errors import (
     NoApplicableVariantError,
     UnknownDecisionMakerError,
 )
-from .lowering import VariantId
-from .nodes import LayerMode
+from .lowering import VariantId, VariantSpec
 
 log = logging.getLogger("congo.decision")
 
@@ -38,13 +39,6 @@ def reply_topic_for(request_id: int) -> Topic:
 
 def context_changed_topic(context: str) -> Topic:
     return Topic(("congo", "context", "changed", context))
-
-
-@dataclass(frozen=True)
-class VariantSpec:
-    variant_id: VariantId
-    constraints: Tuple[Tuple[str, str], ...]  # () marks the base variant
-    mode: LayerMode
 
 
 @dataclass(frozen=True)
@@ -150,67 +144,73 @@ class CountingDecisionMaker(DecisionMaker):
         self.inner.train(feedback)
 
 
-def resolve_decision_maker(receiver, global_dm: DecisionMaker) -> DecisionMaker:
-    """Per-object decision maker when the receiver carries one, else global."""
-    dm = getattr(receiver, "decision_maker", None) if receiver is not None else None
-    return dm if dm is not None else global_dm
+def decide_or_fail(dm: DecisionMaker, request: InvocationRequest) -> object:
+    """The decide step of both transports: ``dm``'s reply, or a failure.
+
+    Exceptions from ``decide`` become :class:`DecisionFailure` replies,
+    so a broken policy can take down neither the bus dispatcher nor a
+    direct call.  Whatever ``decide`` returns is passed on unchecked.
+    """
+    try:
+        return dm.decide(request)
+    except NoApplicableVariantError as exc:
+        return DecisionFailure(request.request_id, "no-applicable-variant", str(exc))
+    except Exception as exc:
+        log.debug("decision maker raised", exc_info=True)
+        return DecisionFailure(
+            request.request_id, "decision-failed", f"{type(exc).__name__}: {exc}"
+        )
 
 
 def attach_decision_maker(bus: MessageBus, dm: DecisionMaker) -> Subscription:
     """Subscribe ``dm`` to every decision request on the bus.
 
-    Each request is answered on its own reply topic.  Exceptions from
-    ``decide`` become :class:`DecisionFailure` replies so a broken
-    policy cannot take the dispatcher down.
+    Each request is answered on its own reply topic, by the request's
+    own decision maker when it names one.
     """
 
     def _handle(message) -> None:
         request = message.payload
-        if not isinstance(request, InvocationRequest):
-            return
-        chosen = request.decision_maker or dm
-        try:
-            reply: object = chosen.decide(request)
-        except NoApplicableVariantError as exc:
-            reply = DecisionFailure(request.request_id, "no-applicable-variant", str(exc))
-        except Exception as exc:
-            log.debug("decision maker raised", exc_info=True)
-            reply = DecisionFailure(
-                request.request_id, "decision-failed", f"{type(exc).__name__}: {exc}"
-            )
-        bus.publish(request.reply_topic, reply)
+        if isinstance(request, InvocationRequest):
+            reply = decide_or_fail(request.decision_maker or dm, request)
+            bus.publish(request.reply_topic, reply)
 
     return bus.subscribe(REQUEST_PATTERN, _handle)
 
 
-def failure_to_error(failure: DecisionFailure, module: str, function_name: str):
+def failure_to_error(
+    failure: DecisionFailure, module: str, function_name: str, span=None
+):
     if failure.kind == "no-applicable-variant":
-        return NoApplicableVariantError(module, function_name)
-    return DecisionFailedError(f"decision maker failed: {failure.message}")
+        return NoApplicableVariantError(module, function_name, span)
+    return DecisionFailedError(f"decision maker failed: {failure.message}", span)
 
 
-def validate_response(request: InvocationRequest, response: DecisionResponse) -> None:
+def validate_response(
+    request: InvocationRequest, response: DecisionResponse, span=None
+) -> None:
     """Check the chain-legality invariants; raise DecisionFailedError if broken."""
     if response.request_id != request.request_id:
         raise DecisionFailedError(
             f"decision response id {response.request_id} does not match "
-            f"request {request.request_id}"
+            f"request {request.request_id}",
+            span,
         )
     if not response.chain:
-        raise DecisionFailedError("decision maker returned an empty chain")
+        raise DecisionFailedError("decision maker returned an empty chain", span)
     known = {spec.variant_id for spec in request.variants}
     base_ids = {spec.variant_id for spec in request.variants if not spec.constraints}
     for i, variant_id in enumerate(response.chain):
         if variant_id not in known:
             raise DecisionFailedError(
-                f"decision chain names unknown variant {variant_id!r}"
+                f"decision chain names unknown variant {variant_id!r}", span
             )
         if variant_id in base_ids and i != len(response.chain) - 1:
             raise DecisionFailedError(
-                "the base variant may only appear as the last chain element"
+                "the base variant may only appear as the last chain element", span
             )
     if len([v for v in response.chain if v in base_ids]) > 1:
-        raise DecisionFailedError("the base variant may appear at most once")
+        raise DecisionFailedError("the base variant may appear at most once", span)
 
 
 # --- registry for named decision makers (CLI and source-level lookup) ------

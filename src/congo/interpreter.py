@@ -2,10 +2,12 @@
 
 A contextual call never selects its own variant chain.  The site
 snapshots the meta context once, builds an :class:`InvocationRequest`,
-and obtains a :class:`DecisionResponse` either over the bus (event
-dispatch, the default) or via a synchronous ``decide`` call (direct
-dispatch).  The returned chain executes outermost-first with
-``proceed()`` stepping inward.
+and gets a reply from the shared decide step
+(:func:`~congo.decision.decide_or_fail`), either over the bus (event
+dispatch, the default) or by calling it directly (direct dispatch).
+The two transports differ in nothing else: every reply is checked and
+turned into an error in one place, and the returned chain executes
+outermost-first with ``proceed()`` stepping inward.
 
 User programs are single-threaded; the interpreter thread and the bus
 dispatcher are the only execution contexts.
@@ -14,7 +16,7 @@ dispatcher are the only execution contexts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -24,6 +26,7 @@ from .context import (
     ConcreteValueStore,
     ContextChanged,
     ContextManager,
+    is_number,
     is_scalar,
 )
 from .decision import (
@@ -31,18 +34,16 @@ from .decision import (
     DecisionMaker,
     DecisionResponse,
     InvocationRequest,
-    VariantSpec,
     attach_decision_maker,
     context_changed_topic,
     create_decision_maker,
+    decide_or_fail,
     failure_to_error,
     reply_topic_for,
     request_topic_for,
-    resolve_decision_maker,
     validate_response,
 )
 from .errors import (
-    ArityMismatchError,
     CallArityError,
     CongoError,
     CongoRuntimeError,
@@ -50,7 +51,6 @@ from .errors import (
     DecisionFailedError,
     DivisionByZeroError,
     MissingBaseError,
-    NoApplicableVariantError,
     ProceedExhaustedError,
     RedefinitionError,
     UnknownContextError,
@@ -77,7 +77,6 @@ class RunConfig:
     cache_policy: CachePolicy = CachePolicy.NONE
     decision_maker: Union[str, DecisionMaker] = "default"
     decision_timeout: float = 5.0
-    validate_chains: bool = True
     # (context, key, value) triples applied to the store before the run
     initial_values: Tuple = ()
     trace: Optional[Callable[[str], None]] = None
@@ -120,14 +119,6 @@ class FunctionValue:
     lam: nodes.Lambda
     env: Environment
     name: str = "<lambda>"
-
-    @property
-    def params(self) -> Tuple[str, ...]:
-        return self.lam.params
-
-    @property
-    def annotation(self) -> Optional[nodes.LayerAnnotation]:
-        return self.lam.annotation
 
 
 @dataclass(eq=False)
@@ -174,33 +165,15 @@ class ProceedFrame:
         self.receiver = receiver
 
 
-@dataclass
 class CallSite:
-    site_id: int
-    module: str
-    function_name: str
-    policy: CachePolicy
-    bound_chain: Optional[Tuple[Variant, ...]] = None
-    bound_epoch: int = -1
-    bound_receiver: Optional[Tuple[int, int]] = None  # (identity, version)
+    """The epoch guard's memory of one site: the chain last decided there."""
 
-    @property
-    def state(self) -> str:
-        return "UNBOUND" if self.bound_chain is None else "BOUND"
+    __slots__ = ("chain", "epoch", "receiver")
 
-    def bind(self, chain, epoch, receiver_key) -> None:
-        self.bound_chain = chain
-        self.bound_epoch = epoch
-        self.bound_receiver = receiver_key
-
-    def cached_chain(self, epoch: int, receiver_key) -> Optional[Tuple[Variant, ...]]:
-        if (
-            self.bound_chain is not None
-            and self.bound_epoch == epoch
-            and self.bound_receiver == receiver_key
-        ):
-            return self.bound_chain
-        return None
+    def __init__(self) -> None:
+        self.chain: Tuple[Variant, ...] = ()
+        self.epoch = -1  # no store epoch is negative, so a new site misses
+        self.receiver: Optional[Tuple[int, int]] = None  # (identity, version)
 
 
 def stringify(value: Value) -> str:
@@ -221,10 +194,6 @@ def stringify(value: Value) -> str:
     if isinstance(value, DecisionMakerValue):
         return f"<decision-maker {value.name}>"
     return str(value)
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class _Return(Exception):
@@ -252,45 +221,23 @@ class Interpreter:
         self._global_dm = global_dm
         self._config = config
         self._println = config.println or (lambda text: print(text))
-        self._root_env = Environment()
-        self._sites: Dict[int, CallSite] = {}
-        self._entry_sites: Dict[str, CallSite] = {}
-        self._site_ids = itertools.count(lowered.call_site_count)
+        # keyed by the site id lower() gave the call node, or by function
+        # name for calls from the host
+        self._sites: Dict[Union[int, str], CallSite] = {}
         self._request_ids = itertools.count(1)
         self._frames: List[Optional[ProceedFrame]] = []
         self._stack: List[Tuple[str, nodes.SourceSpan]] = []
-        # id(variant) -> (FunctionValue, body mentions proceed)
-        self._variant_info: Dict[int, Tuple[FunctionValue, bool]] = {}
-        self._entries: Dict[str, Tuple] = {}
 
     # --- public entry points -------------------------------------------------
 
     def call_function(self, name: str, args: Sequence[Value] = ()) -> Value:
-        entry = self._entries.get(name)
-        if entry is None:
-            table = self._lowered.tables.get(name)
-            if table is None:
-                raise UnknownFunctionError(
-                    f"unknown function '{name}' in module '{self._lowered.name}'"
-                )
-            span = table.variants()[0].body.span
-            site = None
-            if table.layers:
-                site = CallSite(
-                    next(self._site_ids), self._lowered.name, name,
-                    self._config.cache_policy,
-                )
-                self._entry_sites[name] = site
-            entry = (table, site, span)
-            self._entries[name] = entry
-        table, site, span = entry
-        args = tuple(args)
-        if site is not None:
-            return self._dispatch_contextual(site, table, None, args, span)
-        return self._execute_chain((table.base,), None, args, span)
-
-    def call_sites(self) -> List[CallSite]:
-        return list(self._sites.values()) + list(self._entry_sites.values())
+        table = self._lowered.tables.get(name)
+        if table is None:
+            raise UnknownFunctionError(
+                f"unknown function '{name}' in module '{self._lowered.name}'"
+            )
+        span = (table.base or table.layers[0]).body.span
+        return self._call_table(table, None, tuple(args), span, name)
 
     # --- evaluation ------------------------------------------------------------
 
@@ -339,13 +286,13 @@ class Interpreter:
         if op == "+":
             if isinstance(left, str) or isinstance(right, str):
                 return stringify(left) + stringify(right)
-            if _is_number(left) and _is_number(right):
+            if is_number(left) and is_number(right):
                 return left + right
             raise CongoTypeError(
                 f"cannot add {type(left).__name__} and {type(right).__name__}", span
             )
         if op in ("-", "*", "/", "%"):
-            if not (_is_number(left) and _is_number(right)):
+            if not (is_number(left) and is_number(right)):
                 raise CongoTypeError(
                     f"'{op}' needs numeric operands, got "
                     f"{stringify(left)!r} and {stringify(right)!r}", span
@@ -364,7 +311,7 @@ class Interpreter:
                 raise DivisionByZeroError("modulo by zero", span)
             return left % right
         if op in ("<", "<=", ">", ">="):
-            both_numbers = _is_number(left) and _is_number(right)
+            both_numbers = is_number(left) and is_number(right)
             both_strings = isinstance(left, str) and isinstance(right, str)
             if not (both_numbers or both_strings):
                 raise CongoTypeError(
@@ -383,7 +330,7 @@ class Interpreter:
     def _values_equal(left: Value, right: Value) -> bool:
         if isinstance(left, bool) or isinstance(right, bool):
             return isinstance(left, bool) and isinstance(right, bool) and left == right
-        if _is_number(left) and _is_number(right):
+        if is_number(left) and is_number(right):
             return left == right
         if type(left) is not type(right):
             return False
@@ -394,7 +341,7 @@ class Interpreter:
     def _eval_unary(self, expr: nodes.UnaryOp, env: Environment) -> Value:
         operand = self._eval(expr.operand, env)
         if expr.op == "-":
-            if not _is_number(operand):
+            if not is_number(operand):
                 raise CongoTypeError("unary '-' needs a number", expr.span)
             return -operand
         self._require_bool(operand, expr.span, "operand of 'not'")
@@ -413,30 +360,18 @@ class Interpreter:
             if not isinstance(value, FunctionValue):
                 raise CongoTypeError(f"'{name}' is not callable", expr.span)
             args = tuple(self._eval(a, env) for a in expr.args)
-            return self._invoke_function(value, args, None, expr.span)
+            return self._invoke_function(
+                value.lam, value.env, value.name, args, None, expr.span
+            )
         table = self._lowered.tables.get(name)
         if table is not None:
             args = tuple(self._eval(a, env) for a in expr.args)
-            if table.layers:
-                site = self._site_for(expr)
-                return self._dispatch_contextual(site, table, None, args, expr.span)
-            return self._execute_chain((table.base,), None, args, expr.span)
+            return self._call_table(table, None, args, expr.span, expr.site_id)
         builtin = self._BUILTINS.get(name)
         if builtin is not None:
             args = tuple(self._eval(a, env) for a in expr.args)
             return builtin(self, args, expr.span)
         raise UnknownFunctionError(f"unknown function '{name}'", expr.span)
-
-    def _site_for(self, node) -> CallSite:
-        site_id = node.site_id
-        if site_id is None:  # a site the lowering pass could not see
-            node.site_id = site_id = next(self._site_ids)
-        site = self._sites.get(site_id)
-        if site is None:
-            name = getattr(node, "callee", None) or getattr(node, "name", "?")
-            site = CallSite(site_id, self._lowered.name, name, self._config.cache_policy)
-            self._sites[site_id] = site
-        return site
 
     def _eval_method(self, expr: nodes.MethodCall, env: Environment) -> Value:
         receiver = self._eval(expr.receiver, env)
@@ -455,10 +390,7 @@ class Interpreter:
             return self._obj_contexts(receiver, args, expr.span)
         table = receiver.methods.get(name)
         if table is not None:
-            if table.layers:
-                site = self._site_for(expr)
-                return self._dispatch_contextual(site, table, receiver, args, expr.span)
-            return self._execute_chain((table.base,), receiver, args, expr.span)
+            return self._call_table(table, receiver, args, expr.span, expr.site_id)
         # dynamic property access: zero args reads, one arg writes
         if len(args) == 0:
             if name in receiver.properties:
@@ -521,29 +453,31 @@ class Interpreter:
 
     # --- contextual dispatch ------------------------------------------------------
 
-    def _dispatch_contextual(
+    def _call_table(
         self,
-        site: CallSite,
         table: VariantTable,
         receiver: Optional[DynObject],
         args: Tuple,
         span,
+        site_key: Union[int, str, None],
     ) -> Value:
+        """Run a function or method: its base if it has no layers, else dispatch."""
+        if not table.layers:
+            return self._invoke_variant(table.base, receiver, args, (), span)
         receiver_key = (
             (receiver.identity, receiver.version) if receiver is not None else None
         )
-        if site.policy is CachePolicy.EPOCH_GUARD:
-            chain = site.bound_chain
-            if (
-                chain is not None
-                and site.bound_epoch == self._store.epoch
-                and site.bound_receiver == receiver_key
-            ):
-                return self._execute_chain(chain, receiver, args, span)
+        site = None
+        if self._config.cache_policy is CachePolicy.EPOCH_GUARD:
+            site = self._sites.get(site_key)
+            if site is None:
+                site = self._sites[site_key] = CallSite()
+            elif site.epoch == self._store.epoch and site.receiver == receiver_key:
+                chain = site.chain
+                return self._invoke_variant(chain[0], receiver, args, chain[1:], span)
 
-        if table.base is None and any(
-            v.mode is not nodes.LayerMode.REPLACE for v in table.layers
-        ):
+        data = table.dispatch_data()
+        if data.missing_base is not None:
             raise MissingBaseError(
                 f"method '{table.function_name}' has a before/after layer "
                 "but no base variant to proceed to",
@@ -552,22 +486,22 @@ class Interpreter:
         snapshot, epoch = self._context_manager.snapshot_meta(
             self._lowered.name, self._store
         )
-        if receiver is not None and receiver.contexts_override is not None:
-            snapshot = {
-                name: metas for name, metas in snapshot.items()
-                if name in receiver.contexts_override
-            }
-        dm = resolve_decision_maker(receiver, self._global_dm)
+        dm = self._global_dm
+        if receiver is not None:
+            if receiver.contexts_override is not None:
+                snapshot = {
+                    name: metas for name, metas in snapshot.items()
+                    if name in receiver.contexts_override
+                }
+            if receiver.decision_maker is not None:
+                dm = receiver.decision_maker
         request_id = next(self._request_ids)
         request = InvocationRequest(
             request_id=request_id,
             module=self._lowered.name,
             function_name=table.function_name,
-            arity=table.variants()[0].arity,
-            variants=tuple(
-                VariantSpec(v.variant_id, v.constraints, v.mode)
-                for v in table.variants()
-            ),
+            arity=data.arity,
+            variants=data.specs,
             receiver_id=receiver.identity if receiver is not None else None,
             meta_snapshot=snapshot,
             snapshot_epoch=epoch,
@@ -581,40 +515,19 @@ class Interpreter:
                 request.reply_topic,
                 timeout=self._config.decision_timeout,
             )
-            if isinstance(reply, DecisionFailure):
-                raise failure_to_error(reply, request.module, request.function_name)
-            if not isinstance(reply, DecisionResponse):
-                raise DecisionFailedError(
-                    f"unexpected decision reply: {type(reply).__name__}", span
-                )
-            response = reply
         else:
-            try:
-                response = dm.decide(request)
-            except NoApplicableVariantError:
-                raise
-            except Exception as exc:
-                raise DecisionFailedError(
-                    f"decision maker failed: {type(exc).__name__}: {exc}", span
-                ) from exc
-        if self._config.validate_chains:
-            validate_response(request, response)
-        chain = tuple(table.find(variant_id) for variant_id in response.chain)
-        if any(v is None for v in chain):
-            raise DecisionFailedError("decision chain names an unknown variant", span)
-        if site.policy is CachePolicy.EPOCH_GUARD:
-            site.bind(chain, epoch, receiver_key)
-        return self._execute_chain(chain, receiver, args, span)
-
-    def _execute_chain(
-        self,
-        chain: Tuple[Variant, ...],
-        receiver: Optional[DynObject],
-        args: Tuple,
-        span,
-    ) -> Value:
-        head, rest = chain[0], tuple(chain[1:])
-        return self._invoke_variant(head, receiver, args, rest, span)
+            reply = decide_or_fail(dm, request)
+        if isinstance(reply, DecisionFailure):
+            raise failure_to_error(reply, request.module, request.function_name, span)
+        if not isinstance(reply, DecisionResponse):
+            raise DecisionFailedError(
+                f"unexpected decision reply: {type(reply).__name__}", span
+            )
+        validate_response(request, reply, span)
+        chain = tuple(data.by_id[variant_id] for variant_id in reply.chain)
+        if site is not None:
+            site.chain, site.epoch, site.receiver = chain, epoch, receiver_key
+        return self._invoke_variant(chain[0], receiver, args, chain[1:], span)
 
     def _invoke_variant(
         self,
@@ -624,41 +537,41 @@ class Interpreter:
         remaining: Tuple[Variant, ...],
         span,
     ) -> Value:
-        info = self._variant_info.get(id(variant))
-        if info is None:
-            env = variant.closure_env if variant.closure_env is not None else self._root_env
-            fn = FunctionValue(variant.body, env, variant.variant_id.mangled_name)
-            uses_proceed = any(
+        uses_proceed = variant.uses_proceed
+        if uses_proceed is None:
+            uses_proceed = variant.uses_proceed = any(
                 isinstance(n, nodes.Proceed) for n in nodes.walk(variant.body)
             )
-            info = (fn, uses_proceed)
-            self._variant_info[id(variant)] = info
-        fn, uses_proceed = info
         full_args = (receiver, *args) if receiver is not None else args
         # a body with no proceed() never reads its frame; skip the allocation
         frame = ProceedFrame(remaining, args, receiver) if uses_proceed else None
-        return self._invoke_function(fn, full_args, frame, span)
+        return self._invoke_function(
+            variant.body, variant.closure_env, variant.variant_id.mangled_name,
+            full_args, frame, span,
+        )
 
     def _invoke_function(
         self,
-        fn: FunctionValue,
+        lam: nodes.Lambda,
+        closure_env: Optional[Environment],  # None for module functions
+        name: str,
         args: Tuple,
         frame: Optional[ProceedFrame],
         span,
     ) -> Value:
-        params = fn.params
+        params = lam.params
         if len(args) != len(params):
             raise CallArityError(
-                f"'{fn.name}' expects {len(params)} argument(s), got {len(args)}",
+                f"'{name}' expects {len(params)} argument(s), got {len(args)}",
                 span,
             )
-        env = Environment(fn.env)
+        env = Environment(closure_env)
         for param, arg in zip(params, args):
             env.define(param, arg)
         self._frames.append(frame)
-        self._stack.append((fn.name, span))
+        self._stack.append((name, span))
         try:
-            body = fn.lam.body
+            body = lam.body
             if isinstance(body, nodes.Block):
                 try:
                     self._exec_block(body, env)

@@ -14,7 +14,7 @@ identifier character in source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import nodes
 from .errors import (
@@ -49,6 +49,15 @@ class VariantId:
     declaration_index: int
 
 
+@dataclass(frozen=True)
+class VariantSpec:
+    """What a decision maker is told about one variant."""
+
+    variant_id: VariantId
+    constraints: Tuple[Tuple[str, str], ...]  # () marks the base variant
+    mode: nodes.LayerMode
+
+
 @dataclass
 class Variant:
     variant_id: VariantId
@@ -58,10 +67,22 @@ class Variant:
     arity: int
     # set by the runtime for object methods, which close over an environment
     closure_env: object = field(default=None, repr=False, compare=False)
+    # whether the body mentions proceed(); worked out on the first call
+    uses_proceed: Optional[bool] = field(default=None, repr=False, compare=False)
 
     @property
     def is_base(self) -> bool:
         return not self.constraints
+
+
+class DispatchData(NamedTuple):
+    """What every contextual call of one table needs from it."""
+
+    arity: int
+    specs: Tuple[VariantSpec, ...]
+    by_id: Dict[VariantId, Variant]
+    # a before/after layer with no base to proceed to, or None
+    missing_base: Optional[Variant]
 
 
 @dataclass
@@ -69,20 +90,33 @@ class VariantTable:
     function_name: str
     base: Optional[Variant] = None
     layers: List[Variant] = field(default_factory=list)
+    # Built on the first contextual call and reset by add_variant.  Every
+    # runtime of a module shares its tables, so nothing per-runtime goes here.
+    dispatch: Optional[DispatchData] = field(default=None, repr=False, compare=False)
 
     def variants(self) -> List[Variant]:
         out = [self.base] if self.base is not None else []
         out.extend(self.layers)
         return out
 
-    def variant_count(self) -> int:
-        return len(self.layers) + (1 if self.base is not None else 0)
+    def missing_base_layer(self) -> Optional[Variant]:
+        if self.base is not None:
+            return None
+        return next(
+            (v for v in self.layers if v.mode is not nodes.LayerMode.REPLACE), None
+        )
 
-    def find(self, variant_id: VariantId) -> Optional[Variant]:
-        for variant in self.variants():
-            if variant.variant_id == variant_id:
-                return variant
-        return None
+    def dispatch_data(self) -> DispatchData:
+        data = self.dispatch
+        if data is None:
+            variants = self.variants()
+            data = self.dispatch = DispatchData(
+                variants[0].arity,
+                tuple(VariantSpec(v.variant_id, v.constraints, v.mode) for v in variants),
+                {v.variant_id: v for v in variants},
+                self.missing_base_layer(),
+            )
+        return data
 
 
 def desugar_lambda(lam: nodes.Lambda, mode: nodes.LayerMode) -> nodes.Lambda:
@@ -121,6 +155,7 @@ def add_variant(
     """
     name = table.function_name
     span = span or lam.span
+    table.dispatch = None
     arity = len(lam.params)
     existing = table.variants()
     if existing and existing[0].arity != arity:
@@ -180,7 +215,6 @@ class LoweredModule:
     name: str
     tables: Dict[str, VariantTable]
     context_ctors: Tuple[str, ...]
-    contextual_call_names: frozenset
     ast: nodes.ModuleAst
     call_site_count: int
 
@@ -193,12 +227,8 @@ def lower(ast: nodes.ModuleAst) -> LoweredModule:
         add_variant(table, decl.fn, declared_contexts=declared, span=decl.span)
 
     for table in tables.values():
-        if table.base is None and any(
-            v.mode is not nodes.LayerMode.REPLACE for v in table.layers
-        ):
-            offender = next(
-                v for v in table.layers if v.mode is not nodes.LayerMode.REPLACE
-            )
+        offender = table.missing_base_layer()
+        if offender is not None:
             raise MissingBaseError(
                 f"function '{table.function_name}' has a before/after layer "
                 "but no base variant to proceed to",
@@ -241,7 +271,7 @@ def lower(ast: nodes.ModuleAst) -> LoweredModule:
                     node.site_id = next_site
                     next_site += 1
 
-    return LoweredModule(ast.name, tables, tuple(declared), contextual, ast, next_site)
+    return LoweredModule(ast.name, tables, tuple(declared), ast, next_site)
 
 
 def compile_source(source: str, file: str = "<string>") -> LoweredModule:

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -86,6 +87,20 @@ def test_unstable_flag_threshold():
     assert BenchResult(relative_error=0.10, **base).unstable
     assert BenchResult(relative_error=0.25, **base).unstable
     assert not BenchResult(relative_error=0.09, **base).unstable
+
+
+@pytest.mark.parametrize(
+    "scores, unstable", [((1.0, 2.0), True), ((1.0, 1.0), False)], ids=["noisy", "steady"]
+)
+def test_measure_flags_noisy_windows(monkeypatch, scores, unstable):
+    import congo.bench as bench_mod
+
+    windows = itertools.cycle(scores)
+    monkeypatch.setattr(bench_mod, "_run_iteration", lambda runtime, duration: next(windows))
+    ensure_bench_context()
+    result = bench_mod._measure("plain_single", tiny_config(measure_iters=4))
+    assert result.throughput == pytest.approx(sum(scores) / 2)
+    assert result.unstable is unstable
 
 
 def test_format_table_layout():

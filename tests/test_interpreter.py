@@ -353,6 +353,29 @@ def test_method_arity_includes_receiver():
         run_program(src)
 
 
+def test_each_object_runs_its_own_method_closure():
+    # freed objects hand their addresses on to new ones; a method must still
+    # run the closure it was defined with
+    src = (
+        "module m\n"
+        "function main = || {\n"
+        "  let mk = |v| -> |this| -> v\n"
+        "  let i = 0\n"
+        "  let wrong = 0\n"
+        "  while i < 2000 {\n"
+        "    let o = DynamicObject()\n"
+        "    o: define(\"get\", mk(i))\n"
+        "    o: define(\"neg\", mk(0 - i))\n"
+        "    if o: get() != i { wrong = wrong + 1 }\n"
+        "    if o: neg() != 0 - i { wrong = wrong + 1 }\n"
+        "    i = i + 1\n"
+        "  }\n"
+        "  return wrong\n"
+        "}\n"
+    )
+    assert run_program(src)[0] == 0
+
+
 def test_decisionmaker_requires_a_maker_value():
     src = (
         "module m\n"
@@ -608,6 +631,27 @@ def test_policy_none_decides_every_call():
     assert dm.decisions == 20
 
 
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_validation_runs_through_the_module_global(monkeypatch, mode):
+    # tracing tools time validation by swapping this global; one call per
+    # decided contextual call keeps their numbers honest
+    import congo.interpreter as interpreter_module
+
+    calls = []
+    real = interpreter_module.validate_response
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].function_name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(interpreter_module, "validate_response", counting)
+    run_counted(mode, CachePolicy.NONE)
+    assert calls == ["f"] * 20
+    calls.clear()
+    run_counted(mode, CachePolicy.EPOCH_GUARD)
+    assert calls == ["f"]
+
+
 def test_epoch_guard_decides_once_for_static_context():
     result_none, _ = run_counted(DispatchMode.EVENT, CachePolicy.NONE)
     result_guard, dm = run_counted(DispatchMode.EVENT, CachePolicy.EPOCH_GUARD)
@@ -852,6 +896,11 @@ class _Sleepy(DecisionMaker):
         return DefaultDecisionMaker().decide(request)
 
 
+class _Silent(DecisionMaker):
+    def decide(self, request):
+        return None
+
+
 class _Scrambling(DecisionMaker):
     """Returns the right variants in an illegal order."""
 
@@ -871,14 +920,23 @@ def test_crashing_maker_surfaces_decision_failed(mode):
     with pytest.raises(DecisionFailedError) as err:
         run_program(LAYERED, mode=mode, decision_maker=_Crashing(), **contextual_args())
     assert "model offline" in str(err.value)
+    span = err.value.span  # the call f(d) in main
+    assert (span.line, span.column) == (5, 24)
 
 
-@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
-def test_scrambled_chain_rejected_by_validation(mode):
+@pytest.mark.parametrize(
+    "mode, maker",
+    [
+        (DispatchMode.EVENT, _Scrambling),
+        (DispatchMode.DIRECT, _Scrambling),
+        (DispatchMode.EVENT, _Silent),
+        (DispatchMode.DIRECT, _Silent),
+    ],
+    ids=["DispatchMode.EVENT", "DispatchMode.DIRECT", "none-EVENT", "none-DIRECT"],
+)
+def test_scrambled_chain_rejected_by_validation(mode, maker):
     with pytest.raises(DecisionFailedError):
-        run_program(
-            LAYERED, mode=mode, decision_maker=_Scrambling(), **contextual_args()
-        )
+        run_program(LAYERED, mode=mode, decision_maker=maker(), **contextual_args())
 
 
 def test_slow_maker_times_out_in_event_mode():

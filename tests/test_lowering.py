@@ -99,7 +99,6 @@ def test_base_keeps_its_own_name():
     assert table.base.constraints == ()
     assert table.base.mode is N.LayerMode.REPLACE
     assert table.layers == []
-    assert "f" not in lowered.contextual_call_names
 
 
 def test_layer_gets_mangled_name_and_declaration_order():
@@ -115,7 +114,7 @@ def test_layer_gets_mangled_name_and_declaration_order():
         f"f{MANGLE_MARKER}C_OFF",
     ]
     assert [v.variant_id.declaration_index for v in table.variants()] == [0, 1, 2]
-    assert lowered.contextual_call_names == frozenset({"f"})
+    assert [name for name, t in lowered.tables.items() if t.layers] == ["f"]
 
 
 def test_table_completeness():
@@ -126,7 +125,7 @@ def test_table_completeness():
         "function g = |x| -> x\n"
     )
     lowered = lower_src(src)
-    total = sum(t.variant_count() for t in lowered.tables.values())
+    total = sum(len(t.variants()) for t in lowered.tables.values())
     assert total == 3
 
 
@@ -272,7 +271,8 @@ def test_contextual_marking_matches_brute_force_rescan():
         for variant in table.variants():
             for node in N.walk(variant.body):
                 if isinstance(node, N.Call):
-                    expect_site = node.callee in lowered.contextual_call_names
+                    callee = lowered.tables.get(node.callee)
+                    expect_site = callee is not None and bool(callee.layers)
                     assert (node.site_id is not None) == expect_site, node.callee
                 elif isinstance(node, N.MethodCall):
                     assert node.site_id is not None
