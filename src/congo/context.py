@@ -171,6 +171,8 @@ class ContextManager:
         for descriptor in self._registry.get(module, ()):
             try:
                 metas = frozenset(descriptor.evaluate(view))
+            except RecursionError:
+                raise  # the caller's stack ran out; the interpreter reports it
             except Exception as exc:
                 raise ContextEvaluationError(
                     descriptor.name,

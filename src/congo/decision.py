@@ -20,6 +20,7 @@ from .bus import MessageBus, Subscription, Topic
 from .errors import (
     DecisionFailedError,
     NoApplicableVariantError,
+    StackOverflowError,
     UnknownDecisionMakerError,
 )
 from .lowering import VariantId, VariantSpec
@@ -69,7 +70,7 @@ class DecisionFailure:
     """Error reply published when a decision maker raises."""
 
     request_id: int
-    kind: str  # "no-applicable-variant" | "decision-failed"
+    kind: str  # "no-applicable-variant" | "stack-overflow" | "decision-failed"
     message: str
 
 
@@ -155,6 +156,9 @@ def decide_or_fail(dm: DecisionMaker, request: InvocationRequest) -> object:
         return dm.decide(request)
     except NoApplicableVariantError as exc:
         return DecisionFailure(request.request_id, "no-applicable-variant", str(exc))
+    except RecursionError as exc:
+        # in direct mode, most likely the nested ConGo calls that led here
+        return DecisionFailure(request.request_id, "stack-overflow", str(exc))
     except Exception as exc:
         log.debug("decision maker raised", exc_info=True)
         return DecisionFailure(
@@ -183,6 +187,8 @@ def failure_to_error(
 ):
     if failure.kind == "no-applicable-variant":
         return NoApplicableVariantError(module, function_name, span)
+    if failure.kind == "stack-overflow":
+        return StackOverflowError(f"stack exhausted deciding '{function_name}'", span)
     return DecisionFailedError(f"decision maker failed: {failure.message}", span)
 
 

@@ -187,6 +187,12 @@ class ProceedExhaustedError(CongoRuntimeError):
     kind = "ProceedExhausted"
 
 
+class StackOverflowError(CongoRuntimeError):
+    """Calls nested deeper than Python's recursion limit allows."""
+
+    kind = "StackOverflow"
+
+
 # --- benchmarks ---------------------------------------------------------
 
 

@@ -1,4 +1,10 @@
-"""Tree-walking runtime: values, dynamic objects, and contextual dispatch.
+"""Closure-compiled runtime: values, dynamic objects, and contextual dispatch.
+
+Each lambda body is compiled once, on the lambda's first call, into nested
+Python closures of the form ``fn(interp, env)`` (Feeley & Lapalme, *Using
+Closures for Code Generation*, Computer Languages 12(1), 1987) and cached on
+the :class:`~congo.nodes.Lambda` node.  Names still resolve at run time
+through per-block :class:`Environment` scopes and their parent chain.
 
 A contextual call never selects its own variant chain.  The site
 snapshots the meta context once, builds an :class:`InvocationRequest`,
@@ -16,12 +22,13 @@ dispatcher are the only execution contexts.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import nodes
-from .bus import MessageBus, Topic
+from .bus import MessageBus
 from .context import (
     ConcreteValueStore,
     ContextChanged,
@@ -48,11 +55,14 @@ from .errors import (
     CongoError,
     CongoRuntimeError,
     CongoTypeError,
+    ContextEvaluationError,
     DecisionFailedError,
+    DecisionTimeoutError,
     DivisionByZeroError,
     MissingBaseError,
     ProceedExhaustedError,
     RedefinitionError,
+    StackOverflowError,
     UnknownContextError,
     UnknownFunctionError,
     UnknownMethodError,
@@ -87,31 +97,17 @@ class RunConfig:
 
 
 class Environment:
+    """One block scope; a name is looked up here, then in each parent."""
+
     __slots__ = ("parent", "vars")
 
-    def __init__(self, parent: Optional["Environment"] = None):
+    def __init__(
+        self,
+        parent: Optional["Environment"] = None,
+        bindings: Optional[Dict[str, object]] = None,
+    ):
         self.parent = parent
-        self.vars: Dict[str, object] = {}
-
-    def define(self, name: str, value: object) -> None:
-        self.vars[name] = value
-
-    def assign(self, name: str, value: object) -> bool:
-        env: Optional[Environment] = self
-        while env is not None:
-            if name in env.vars:
-                env.vars[name] = value
-                return True
-            env = env.parent
-        return False
-
-    def lookup(self, name: str) -> Tuple[bool, object]:
-        env: Optional[Environment] = self
-        while env is not None:
-            if name in env.vars:
-                return True, env.vars[name]
-            env = env.parent
-        return False, None
+        self.vars: Dict[str, object] = {} if bindings is None else bindings
 
 
 @dataclass(eq=False)
@@ -149,22 +145,6 @@ class DynObject:
 Value = Union[int, float, str, bool, None, FunctionValue, DynObject, DecisionMakerValue]
 
 
-class ProceedFrame:
-    """What proceed() still has to run: the rest of the chain."""
-
-    __slots__ = ("remaining", "original_args", "receiver")
-
-    def __init__(
-        self,
-        remaining: Tuple[Variant, ...],
-        original_args: Tuple,  # receiver excluded; re-sent by zero-arg proceed()
-        receiver: Optional[DynObject],
-    ):
-        self.remaining = remaining
-        self.original_args = original_args
-        self.receiver = receiver
-
-
 class CallSite:
     """The epoch guard's memory of one site: the chain last decided there."""
 
@@ -196,12 +176,77 @@ def stringify(value: Value) -> str:
     return str(value)
 
 
-class _Return(Exception):
-    def __init__(self, value: Value):
-        self.value = value
+# --- operators ----------------------------------------------------------------
 
 
-_RESERVED_METHODS = ("define", "decisionmaker", "contexts")
+def _values_equal(left: Value, right: Value) -> bool:
+    if isinstance(left, bool) or isinstance(right, bool):
+        return isinstance(left, bool) and isinstance(right, bool) and left == right
+    if is_number(left) and is_number(right):
+        return left == right
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, (DynObject, FunctionValue, DecisionMakerValue)):
+        return left is right
+    return left == right
+
+
+def _apply_binary(op: str, left: Value, right: Value, span) -> Value:
+    if op == "==":
+        return _values_equal(left, right)
+    if op == "!=":
+        return not _values_equal(left, right)
+    if op == "+":
+        if isinstance(left, str) or isinstance(right, str):
+            return stringify(left) + stringify(right)
+        if is_number(left) and is_number(right):
+            return left + right
+        raise CongoTypeError(
+            f"cannot add {type(left).__name__} and {type(right).__name__}", span
+        )
+    if op in ("-", "*", "/", "%"):
+        if not (is_number(left) and is_number(right)):
+            raise CongoTypeError(
+                f"'{op}' needs numeric operands, got "
+                f"{stringify(left)!r} and {stringify(right)!r}", span
+            )
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        if op == "/":
+            if right == 0:
+                raise DivisionByZeroError("division by zero", span)
+            if isinstance(left, int) and isinstance(right, int):
+                return left // right
+            return left / right
+        if right == 0:
+            raise DivisionByZeroError("modulo by zero", span)
+        return left % right
+    if op in ("<", "<=", ">", ">="):
+        both_numbers = is_number(left) and is_number(right)
+        both_strings = isinstance(left, str) and isinstance(right, str)
+        if not (both_numbers or both_strings):
+            raise CongoTypeError(
+                f"'{op}' needs two numbers or two strings", span
+            )
+        if op == "<":
+            return left < right
+        if op == "<=":
+            return left <= right
+        if op == ">":
+            return left > right
+        return left >= right
+    raise CongoRuntimeError(f"unknown operator '{op}'", span)
+
+
+def _not_bool(what: str, value: Value, span) -> CongoTypeError:
+    return CongoTypeError(f"{what} must be a boolean, got {stringify(value)!r}", span)
+
+
+# the (name, span) pair of a call-stack entry, read without a Python frame
+# so that it still works when the stack has run out
+_NAME_AND_SPAN = operator.itemgetter(0, 1)
 
 
 class Interpreter:
@@ -215,6 +260,7 @@ class Interpreter:
         config: RunConfig,
     ):
         self._lowered = lowered
+        self._tables = lowered.tables
         self._context_manager = context_manager
         self._store = store
         self._bus = bus
@@ -225,183 +271,21 @@ class Interpreter:
         # name for calls from the host
         self._sites: Dict[Union[int, str], CallSite] = {}
         self._request_ids = itertools.count(1)
-        self._frames: List[Optional[ProceedFrame]] = []
-        self._stack: List[Tuple[str, nodes.SourceSpan]] = []
+        # One entry per running ConGo function: (name, call span, the rest
+        # of the chain proceed() runs next or None outside a dispatch, the
+        # arguments a bare proceed() re-sends, the receiver).
+        self._stack: List[Tuple] = []
 
     # --- public entry points -------------------------------------------------
 
     def call_function(self, name: str, args: Sequence[Value] = ()) -> Value:
-        table = self._lowered.tables.get(name)
+        table = self._tables.get(name)
         if table is None:
             raise UnknownFunctionError(
                 f"unknown function '{name}' in module '{self._lowered.name}'"
             )
         span = (table.base or table.layers[0]).body.span
         return self._call_table(table, None, tuple(args), span, name)
-
-    # --- evaluation ------------------------------------------------------------
-
-    def _eval(self, expr: nodes.Expr, env: Environment) -> Value:
-        handler = self._EVAL.get(type(expr))
-        if handler is None:
-            raise CongoRuntimeError(f"cannot evaluate node {type(expr).__name__}")
-        return handler(self, expr, env)
-
-    def _eval_literal(self, expr, env: Environment) -> Value:
-        return expr.value
-
-    def _eval_null(self, expr, env: Environment) -> Value:
-        return None
-
-    def _eval_ident(self, expr: nodes.Ident, env: Environment) -> Value:
-        found, value = env.lookup(expr.name)
-        if not found:
-            raise UnknownVariableError(f"unknown variable '{expr.name}'", expr.span)
-        return value
-
-    def _eval_lambda(self, expr: nodes.Lambda, env: Environment) -> Value:
-        return FunctionValue(expr, env)
-
-    def _eval_binary(self, expr: nodes.BinaryOp, env: Environment) -> Value:
-        op = expr.op
-        if op in ("&&", "||"):
-            left = self._eval(expr.left, env)
-            self._require_bool(left, expr.span, f"left operand of '{op}'")
-            if op == "&&" and left is False:
-                return False
-            if op == "||" and left is True:
-                return True
-            right = self._eval(expr.right, env)
-            self._require_bool(right, expr.span, f"right operand of '{op}'")
-            return right
-        left = self._eval(expr.left, env)
-        right = self._eval(expr.right, env)
-        return self._apply_binary(op, left, right, expr.span)
-
-    def _apply_binary(self, op: str, left: Value, right: Value, span) -> Value:
-        if op == "==":
-            return self._values_equal(left, right)
-        if op == "!=":
-            return not self._values_equal(left, right)
-        if op == "+":
-            if isinstance(left, str) or isinstance(right, str):
-                return stringify(left) + stringify(right)
-            if is_number(left) and is_number(right):
-                return left + right
-            raise CongoTypeError(
-                f"cannot add {type(left).__name__} and {type(right).__name__}", span
-            )
-        if op in ("-", "*", "/", "%"):
-            if not (is_number(left) and is_number(right)):
-                raise CongoTypeError(
-                    f"'{op}' needs numeric operands, got "
-                    f"{stringify(left)!r} and {stringify(right)!r}", span
-                )
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0:
-                    raise DivisionByZeroError("division by zero", span)
-                if isinstance(left, int) and isinstance(right, int):
-                    return left // right
-                return left / right
-            if right == 0:
-                raise DivisionByZeroError("modulo by zero", span)
-            return left % right
-        if op in ("<", "<=", ">", ">="):
-            both_numbers = is_number(left) and is_number(right)
-            both_strings = isinstance(left, str) and isinstance(right, str)
-            if not (both_numbers or both_strings):
-                raise CongoTypeError(
-                    f"'{op}' needs two numbers or two strings", span
-                )
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            return left >= right
-        raise CongoRuntimeError(f"unknown operator '{op}'", span)
-
-    @staticmethod
-    def _values_equal(left: Value, right: Value) -> bool:
-        if isinstance(left, bool) or isinstance(right, bool):
-            return isinstance(left, bool) and isinstance(right, bool) and left == right
-        if is_number(left) and is_number(right):
-            return left == right
-        if type(left) is not type(right):
-            return False
-        if isinstance(left, (DynObject, FunctionValue, DecisionMakerValue)):
-            return left is right
-        return left == right
-
-    def _eval_unary(self, expr: nodes.UnaryOp, env: Environment) -> Value:
-        operand = self._eval(expr.operand, env)
-        if expr.op == "-":
-            if not is_number(operand):
-                raise CongoTypeError("unary '-' needs a number", expr.span)
-            return -operand
-        self._require_bool(operand, expr.span, "operand of 'not'")
-        return not operand
-
-    def _require_bool(self, value: Value, span, what: str) -> None:
-        if not isinstance(value, bool):
-            raise CongoTypeError(f"{what} must be a boolean, got {stringify(value)!r}", span)
-
-    # --- calls -----------------------------------------------------------------
-
-    def _eval_call(self, expr: nodes.Call, env: Environment) -> Value:
-        name = expr.callee
-        found, value = env.lookup(name)
-        if found:
-            if not isinstance(value, FunctionValue):
-                raise CongoTypeError(f"'{name}' is not callable", expr.span)
-            args = tuple(self._eval(a, env) for a in expr.args)
-            return self._invoke_function(
-                value.lam, value.env, value.name, args, None, expr.span
-            )
-        table = self._lowered.tables.get(name)
-        if table is not None:
-            args = tuple(self._eval(a, env) for a in expr.args)
-            return self._call_table(table, None, args, expr.span, expr.site_id)
-        builtin = self._BUILTINS.get(name)
-        if builtin is not None:
-            args = tuple(self._eval(a, env) for a in expr.args)
-            return builtin(self, args, expr.span)
-        raise UnknownFunctionError(f"unknown function '{name}'", expr.span)
-
-    def _eval_method(self, expr: nodes.MethodCall, env: Environment) -> Value:
-        receiver = self._eval(expr.receiver, env)
-        args = tuple(self._eval(a, env) for a in expr.args)
-        if not isinstance(receiver, DynObject):
-            raise CongoTypeError(
-                f"method call '{expr.name}' on non-object value {stringify(receiver)!r}",
-                expr.span,
-            )
-        name = expr.name
-        if name == "define":
-            return self._obj_define(receiver, args, expr.span)
-        if name == "decisionmaker":
-            return self._obj_decisionmaker(receiver, args, expr.span)
-        if name == "contexts":
-            return self._obj_contexts(receiver, args, expr.span)
-        table = receiver.methods.get(name)
-        if table is not None:
-            return self._call_table(table, receiver, args, expr.span, expr.site_id)
-        # dynamic property access: zero args reads, one arg writes
-        if len(args) == 0:
-            if name in receiver.properties:
-                return receiver.properties[name]
-            raise UnknownMethodError(
-                f"object has no method or property '{name}'", expr.span
-            )
-        if len(args) == 1:
-            receiver.properties[name] = args[0]
-            return receiver
-        raise UnknownMethodError(f"object has no method '{name}'", expr.span)
 
     # --- dynamic object builtins -------------------------------------------------
 
@@ -410,7 +294,7 @@ class Interpreter:
                 or not isinstance(args[1], FunctionValue):
             raise CongoTypeError("define expects (name, lambda)", span)
         name, fn = args
-        if name in _RESERVED_METHODS:
+        if name in self._OBJECT_BUILTINS:
             raise RedefinitionError(f"'{name}' is a reserved method name", span)
         table = obj.methods.setdefault(name, VariantTable(name))
         try:
@@ -451,6 +335,12 @@ class Interpreter:
         obj.version += 1
         return obj
 
+    _OBJECT_BUILTINS = {
+        "define": _obj_define,
+        "decisionmaker": _obj_decisionmaker,
+        "contexts": _obj_contexts,
+    }
+
     # --- contextual dispatch ------------------------------------------------------
 
     def _call_table(
@@ -483,40 +373,45 @@ class Interpreter:
                 "but no base variant to proceed to",
                 span,
             )
-        snapshot, epoch = self._context_manager.snapshot_meta(
-            self._lowered.name, self._store
-        )
-        dm = self._global_dm
-        if receiver is not None:
-            if receiver.contexts_override is not None:
-                snapshot = {
-                    name: metas for name, metas in snapshot.items()
-                    if name in receiver.contexts_override
-                }
-            if receiver.decision_maker is not None:
-                dm = receiver.decision_maker
-        request_id = next(self._request_ids)
-        request = InvocationRequest(
-            request_id=request_id,
-            module=self._lowered.name,
-            function_name=table.function_name,
-            arity=data.arity,
-            variants=data.specs,
-            receiver_id=receiver.identity if receiver is not None else None,
-            meta_snapshot=snapshot,
-            snapshot_epoch=epoch,
-            reply_topic=reply_topic_for(request_id),
-            decision_maker=dm,
-        )
-        if self._config.dispatch_mode is DispatchMode.EVENT:
-            reply = self._bus.request_reply(
-                request_topic_for(request.module),
-                request,
-                request.reply_topic,
-                timeout=self._config.decision_timeout,
+        try:
+            snapshot, epoch = self._context_manager.snapshot_meta(
+                self._lowered.name, self._store
             )
-        else:
-            reply = decide_or_fail(dm, request)
+            dm = self._global_dm
+            if receiver is not None:
+                if receiver.contexts_override is not None:
+                    snapshot = {
+                        name: metas for name, metas in snapshot.items()
+                        if name in receiver.contexts_override
+                    }
+                if receiver.decision_maker is not None:
+                    dm = receiver.decision_maker
+            request_id = next(self._request_ids)
+            request = InvocationRequest(
+                request_id=request_id,
+                module=self._lowered.name,
+                function_name=table.function_name,
+                arity=data.arity,
+                variants=data.specs,
+                receiver_id=receiver.identity if receiver is not None else None,
+                meta_snapshot=snapshot,
+                snapshot_epoch=epoch,
+                reply_topic=reply_topic_for(request_id),
+                decision_maker=dm,
+            )
+            if self._config.dispatch_mode is DispatchMode.EVENT:
+                reply = self._bus.request_reply(
+                    request_topic_for(request.module),
+                    request,
+                    request.reply_topic,
+                    timeout=self._config.decision_timeout,
+                )
+            else:
+                reply = decide_or_fail(dm, request)
+        except (ContextEvaluationError, DecisionTimeoutError) as exc:
+            if exc.span is None:
+                exc.span = span
+            raise
         if isinstance(reply, DecisionFailure):
             raise failure_to_error(reply, request.module, request.function_name, span)
         if not isinstance(reply, DecisionResponse):
@@ -537,137 +432,54 @@ class Interpreter:
         remaining: Tuple[Variant, ...],
         span,
     ) -> Value:
-        uses_proceed = variant.uses_proceed
-        if uses_proceed is None:
-            uses_proceed = variant.uses_proceed = any(
-                isinstance(n, nodes.Proceed) for n in nodes.walk(variant.body)
-            )
-        full_args = (receiver, *args) if receiver is not None else args
-        # a body with no proceed() never reads its frame; skip the allocation
-        frame = ProceedFrame(remaining, args, receiver) if uses_proceed else None
-        return self._invoke_function(
-            variant.body, variant.closure_env, variant.variant_id.mangled_name,
-            full_args, frame, span,
+        return self._invoke(
+            variant.body,
+            variant.closure_env,
+            (receiver, *args) if receiver is not None else args,
+            (variant.variant_id.mangled_name, span, remaining, args, receiver),
         )
 
-    def _invoke_function(
+    def _invoke(
         self,
         lam: nodes.Lambda,
         closure_env: Optional[Environment],  # None for module functions
-        name: str,
         args: Tuple,
-        frame: Optional[ProceedFrame],
-        span,
+        entry: Tuple,  # pushed on the call stack; see __init__
     ) -> Value:
         params = lam.params
         if len(args) != len(params):
             raise CallArityError(
-                f"'{name}' expects {len(params)} argument(s), got {len(args)}",
-                span,
+                f"'{entry[0]}' expects {len(params)} argument(s), got {len(args)}",
+                entry[1],
             )
-        env = Environment(closure_env)
-        for param, arg in zip(params, args):
-            env.define(param, arg)
-        self._frames.append(frame)
-        self._stack.append((name, span))
+        # a dict display is several times cheaper than dict(zip(...))
+        if len(params) == 1:
+            bindings = {params[0]: args[0]}
+        elif len(params) == 2:
+            bindings = {params[0]: args[0], params[1]: args[1]}
+        else:
+            bindings = dict(zip(params, args))
+        stack = self._stack
+        stack.append(entry)
         try:
-            body = lam.body
-            if isinstance(body, nodes.Block):
-                try:
-                    self._exec_block(body, env)
-                except _Return as ret:
-                    return ret.value
-                return None
-            return self._eval(body, env)
+            code = lam.code
+            if code is None:  # first call: compile once, for every runtime
+                code = lam.code = _compile_body(lam.body)
+            return code(self, Environment(closure_env, bindings))
         except CongoRuntimeError as exc:
             if exc.call_stack is None:
-                exc.call_stack = tuple(self._stack)
+                exc.call_stack = tuple(map(_NAME_AND_SPAN, stack))
             raise
+        except RecursionError:
+            # Should building the error overflow too, the RecursionError
+            # reaches the caller's _invoke, a few frames up, which retries.
+            raise StackOverflowError(
+                f"stack exhausted after {len(stack)} nested calls",
+                entry[1],
+                tuple(map(_NAME_AND_SPAN, stack)),
+            ) from None
         finally:
-            self._frames.pop()
-            self._stack.pop()
-
-    def _eval_proceed(self, expr: nodes.Proceed, env: Environment) -> Value:
-        frame = self._frames[-1] if self._frames else None
-        if frame is None:
-            raise ProceedExhaustedError(
-                "proceed called outside a layered dispatch", expr.span
-            )
-        if not frame.remaining:
-            raise ProceedExhaustedError(
-                "proceed called but the variant chain is exhausted", expr.span
-            )
-        next_variant = frame.remaining[0]
-        rest = frame.remaining[1:]
-        if expr.args:
-            call_args = tuple(self._eval(a, env) for a in expr.args)
-        else:
-            call_args = frame.original_args
-        return self._invoke_variant(
-            next_variant, frame.receiver, call_args, rest, expr.span
-        )
-
-    _EVAL = {
-        nodes.IntLit: _eval_literal,
-        nodes.FloatLit: _eval_literal,
-        nodes.StringLit: _eval_literal,
-        nodes.BoolLit: _eval_literal,
-        nodes.NullLit: _eval_null,
-        nodes.Ident: _eval_ident,
-        nodes.BinaryOp: _eval_binary,
-        nodes.UnaryOp: _eval_unary,
-        nodes.Call: _eval_call,
-        nodes.MethodCall: _eval_method,
-        nodes.Proceed: _eval_proceed,
-        nodes.Lambda: _eval_lambda,
-    }
-
-    # --- statements ------------------------------------------------------------
-
-    def _exec_block(self, block: nodes.Block, env: Environment) -> None:
-        scope = Environment(env)
-        for stmt in block.stmts:
-            self._exec(stmt, scope)
-
-    def _exec(self, stmt: nodes.Stmt, env: Environment) -> None:
-        if isinstance(stmt, nodes.LetStmt):
-            env.define(stmt.name, self._eval(stmt.value, env))
-            return
-        if isinstance(stmt, nodes.AssignStmt):
-            value = self._eval(stmt.value, env)
-            if not env.assign(stmt.name, value):
-                raise UnknownVariableError(
-                    f"assignment to undefined variable '{stmt.name}'", stmt.span
-                )
-            return
-        if isinstance(stmt, nodes.ReturnStmt):
-            value = self._eval(stmt.value, env) if stmt.value is not None else None
-            raise _Return(value)
-        if isinstance(stmt, nodes.IfStmt):
-            cond = self._eval(stmt.cond, env)
-            self._require_bool(cond, stmt.span, "if condition")
-            if cond:
-                self._exec_block(stmt.then, env)
-            elif isinstance(stmt.orelse, nodes.IfStmt):
-                self._exec(stmt.orelse, env)
-            elif isinstance(stmt.orelse, nodes.Block):
-                self._exec_block(stmt.orelse, env)
-            return
-        if isinstance(stmt, nodes.WhileStmt):
-            while True:
-                cond = self._eval(stmt.cond, env)
-                self._require_bool(cond, stmt.span, "while condition")
-                if not cond:
-                    break
-                self._exec_block(stmt.body, env)
-            return
-        if isinstance(stmt, nodes.ExprStmt):
-            self._eval(stmt.expr, env)
-            return
-        if isinstance(stmt, nodes.Block):
-            self._exec_block(stmt, env)
-            return
-        raise CongoRuntimeError(f"cannot execute node {type(stmt).__name__}")
+            stack.pop()
 
     # --- builtin functions --------------------------------------------------------
 
@@ -729,6 +541,341 @@ class Interpreter:
         "currentMeta": _builtin_current_meta,
         "decisionMaker": _builtin_decision_maker,
     }
+
+
+# --- closure compiler ------------------------------------------------------------
+#
+# Every closure takes (interp, env) and captures only AST field values and
+# other closures, never an interpreter, store, bus or scope: tables and
+# lambdas are shared by every runtime built from one LoweredModule.  An
+# expression closure returns its value.  A statement closure returns _NEXT
+# to fall through to the next statement, or the value of a ``return``.
+
+_NEXT = object()
+
+
+def _compile_body(body: Union[nodes.Block, nodes.Expr]) -> Callable:
+    """The closure that runs a lambda body in the lambda's parameter scope."""
+    if not isinstance(body, nodes.Block):
+        return _compile(body)
+    stmts = tuple(_compile(stmt) for stmt in body.stmts)
+
+    # The top block runs in the parameter scope itself.  Nothing else can
+    # reach that scope, so a separate child scope would change no lookup.
+    def run_body(interp, env):
+        for stmt in stmts:
+            result = stmt(interp, env)
+            if result is not _NEXT:
+                return result
+        return None
+
+    return run_body
+
+
+def _compile(node) -> Callable:
+    return _COMPILERS[type(node)](node)
+
+
+def _compile_constant(expr) -> Callable:
+    value = expr.value
+    return lambda interp, env: value
+
+
+def _compile_null(expr: nodes.NullLit) -> Callable:
+    return lambda interp, env: None
+
+
+def _compile_ident(expr: nodes.Ident) -> Callable:
+    name, span = expr.name, expr.span
+
+    def ident(interp, env):
+        while env is not None:
+            if name in env.vars:
+                return env.vars[name]
+            env = env.parent
+        raise UnknownVariableError(f"unknown variable '{name}'", span)
+
+    return ident
+
+
+def _compile_lambda_value(expr: nodes.Lambda) -> Callable:
+    return lambda interp, env: FunctionValue(expr, env)
+
+
+# Two ints take these directly: Python's result is ConGo's.  Any other
+# operands, bools included, and '/' or '%' by zero get _apply_binary's checks.
+_INT_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "==": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+_INT_DIVISIONS = {"/": operator.floordiv, "%": operator.mod}
+
+
+def _compile_binary(expr: nodes.BinaryOp) -> Callable:
+    op, span = expr.op, expr.span
+    left, right = _compile(expr.left), _compile(expr.right)
+    if op == "&&" or op == "||":
+        settles = op == "||"  # the left value that is the result on its own
+
+        def run(interp, env):
+            a = left(interp, env)
+            if a is not True and a is not False:
+                raise _not_bool(f"left operand of '{op}'", a, span)
+            if a is settles:
+                return a
+            b = right(interp, env)
+            if b is True or b is False:
+                return b
+            raise _not_bool(f"right operand of '{op}'", b, span)
+    elif op in _INT_OPS:
+        fast = _INT_OPS[op]
+
+        def run(interp, env):
+            a, b = left(interp, env), right(interp, env)
+            if type(a) is int and type(b) is int:
+                return fast(a, b)
+            return _apply_binary(op, a, b, span)
+    elif op in _INT_DIVISIONS:
+        divide = _INT_DIVISIONS[op]
+
+        def run(interp, env):
+            a, b = left(interp, env), right(interp, env)
+            if type(a) is int and type(b) is int and b:
+                return divide(a, b)
+            return _apply_binary(op, a, b, span)
+    else:
+        def run(interp, env):
+            return _apply_binary(op, left(interp, env), right(interp, env), span)
+    return run
+
+
+def _compile_unary(expr: nodes.UnaryOp) -> Callable:
+    operand, span = _compile(expr.operand), expr.span
+    if expr.op == "-":
+        def negate(interp, env):
+            value = operand(interp, env)
+            if is_number(value):
+                return -value
+            raise CongoTypeError("unary '-' needs a number", span)
+
+        return negate
+
+    def not_(interp, env):
+        value = operand(interp, env)
+        if value is True or value is False:
+            return not value
+        raise _not_bool("operand of 'not'", value, span)
+
+    return not_
+
+
+def _compile_args(exprs: Tuple[nodes.Expr, ...]) -> Callable:
+    """A closure that evaluates the arguments left to right into a tuple."""
+    fns = tuple(_compile(e) for e in exprs)
+    if not fns:
+        return lambda interp, env: ()
+    if len(fns) == 1:
+        (only,) = fns
+        return lambda interp, env: (only(interp, env),)
+    if len(fns) == 2:
+        first, second = fns
+        return lambda interp, env: (first(interp, env), second(interp, env))
+    return lambda interp, env: tuple([fn(interp, env) for fn in fns])
+
+
+def _compile_call(expr: nodes.Call) -> Callable:
+    name, span, site = expr.callee, expr.span, expr.site_id
+    args = _compile_args(expr.args)
+
+    # a local binding first, then the module's function, then a builtin
+    def call(interp, env):
+        scope = env
+        while scope is not None:
+            if name in scope.vars:
+                fn = scope.vars[name]
+                if not isinstance(fn, FunctionValue):
+                    raise CongoTypeError(f"'{name}' is not callable", span)
+                return interp._invoke(
+                    fn.lam, fn.env, args(interp, env), (fn.name, span, None, None, None)
+                )
+            scope = scope.parent
+        table = interp._tables.get(name)
+        if table is not None:
+            return interp._call_table(table, None, args(interp, env), span, site)
+        builtin = interp._BUILTINS.get(name)
+        if builtin is not None:
+            return builtin(interp, args(interp, env), span)
+        raise UnknownFunctionError(f"unknown function '{name}'", span)
+
+    return call
+
+
+def _compile_method(expr: nodes.MethodCall) -> Callable:
+    name, span, site = expr.name, expr.span, expr.site_id
+    receiver_of, args = _compile(expr.receiver), _compile_args(expr.args)
+    builtin = Interpreter._OBJECT_BUILTINS.get(name)
+
+    def method(interp, env):
+        receiver, values = receiver_of(interp, env), args(interp, env)
+        if not isinstance(receiver, DynObject):
+            raise CongoTypeError(
+                f"method call '{name}' on non-object value {stringify(receiver)!r}",
+                span,
+            )
+        if builtin is not None:
+            return builtin(interp, receiver, values, span)
+        table = receiver.methods.get(name)
+        if table is not None:
+            return interp._call_table(table, receiver, values, span, site)
+        # dynamic property access: zero args reads, one arg writes
+        if not values:
+            if name in receiver.properties:
+                return receiver.properties[name]
+            raise UnknownMethodError(
+                f"object has no method or property '{name}'", span
+            )
+        if len(values) == 1:
+            receiver.properties[name] = values[0]
+            return receiver
+        raise UnknownMethodError(f"object has no method '{name}'", span)
+
+    return method
+
+
+def _compile_proceed(expr: nodes.Proceed) -> Callable:
+    span = expr.span
+    args = _compile_args(expr.args) if expr.args else None
+
+    def proceed(interp, env):
+        _, _, remaining, sent, receiver = interp._stack[-1]
+        if remaining is None:
+            raise ProceedExhaustedError(
+                "proceed called outside a layered dispatch", span
+            )
+        if not remaining:
+            raise ProceedExhaustedError(
+                "proceed called but the variant chain is exhausted", span
+            )
+        if args is not None:
+            sent = args(interp, env)
+        return interp._invoke_variant(remaining[0], receiver, sent, remaining[1:], span)
+
+    return proceed
+
+
+def _compile_let(stmt: nodes.LetStmt) -> Callable:
+    name, value = stmt.name, _compile(stmt.value)
+
+    def let(interp, env):
+        env.vars[name] = value(interp, env)
+        return _NEXT
+
+    return let
+
+
+def _compile_assign(stmt: nodes.AssignStmt) -> Callable:
+    name, value, span = stmt.name, _compile(stmt.value), stmt.span
+
+    def assign(interp, env):
+        result = value(interp, env)
+        while env is not None:
+            if name in env.vars:
+                env.vars[name] = result
+                return _NEXT
+            env = env.parent
+        raise UnknownVariableError(
+            f"assignment to undefined variable '{name}'", span
+        )
+
+    return assign
+
+
+def _compile_return(stmt: nodes.ReturnStmt) -> Callable:
+    # an expression closure never returns _NEXT, so it is the statement
+    if stmt.value is None:
+        return lambda interp, env: None
+    return _compile(stmt.value)
+
+
+def _compile_if(stmt: nodes.IfStmt) -> Callable:
+    cond, then, span = _compile(stmt.cond), _compile(stmt.then), stmt.span
+    # an else-if runs in this scope; an else block opens its own
+    orelse = _compile(stmt.orelse) if stmt.orelse is not None else None
+
+    def if_(interp, env):
+        test = cond(interp, env)
+        if test is True:
+            return then(interp, env)
+        if test is not False:
+            raise _not_bool("if condition", test, span)
+        return _NEXT if orelse is None else orelse(interp, env)
+
+    return if_
+
+
+def _compile_while(stmt: nodes.WhileStmt) -> Callable:
+    cond, body, span = _compile(stmt.cond), _compile(stmt.body), stmt.span
+
+    def while_(interp, env):
+        while True:
+            test = cond(interp, env)
+            if test is not True:
+                if test is False:
+                    return _NEXT
+                raise _not_bool("while condition", test, span)
+            result = body(interp, env)
+            if result is not _NEXT:
+                return result
+
+    return while_
+
+
+def _compile_expr_stmt(stmt: nodes.ExprStmt) -> Callable:
+    expr = _compile(stmt.expr)
+
+    def expr_stmt(interp, env):
+        expr(interp, env)
+        return _NEXT
+
+    return expr_stmt
+
+
+def _compile_block(block: nodes.Block) -> Callable:
+    stmts = tuple(_compile(stmt) for stmt in block.stmts)
+
+    def run_block(interp, env):
+        scope = Environment(env)
+        for stmt in stmts:
+            result = stmt(interp, scope)
+            if result is not _NEXT:
+                return result
+        return _NEXT
+
+    return run_block
+
+
+_COMPILERS = {
+    nodes.IntLit: _compile_constant,
+    nodes.FloatLit: _compile_constant,
+    nodes.StringLit: _compile_constant,
+    nodes.BoolLit: _compile_constant,
+    nodes.NullLit: _compile_null,
+    nodes.Ident: _compile_ident,
+    nodes.BinaryOp: _compile_binary,
+    nodes.UnaryOp: _compile_unary,
+    nodes.Call: _compile_call,
+    nodes.MethodCall: _compile_method,
+    nodes.Proceed: _compile_proceed,
+    nodes.Lambda: _compile_lambda_value,
+    nodes.LetStmt: _compile_let,
+    nodes.AssignStmt: _compile_assign,
+    nodes.ReturnStmt: _compile_return,
+    nodes.IfStmt: _compile_if,
+    nodes.WhileStmt: _compile_while,
+    nodes.ExprStmt: _compile_expr_stmt,
+    nodes.Block: _compile_block,
+}
 
 
 # --- runtime lifecycle ---------------------------------------------------------

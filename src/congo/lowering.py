@@ -67,8 +67,6 @@ class Variant:
     arity: int
     # set by the runtime for object methods, which close over an environment
     closure_env: object = field(default=None, repr=False, compare=False)
-    # whether the body mentions proceed(); worked out on the first call
-    uses_proceed: Optional[bool] = field(default=None, repr=False, compare=False)
 
     @property
     def is_base(self) -> bool:
@@ -216,7 +214,6 @@ class LoweredModule:
     tables: Dict[str, VariantTable]
     context_ctors: Tuple[str, ...]
     ast: nodes.ModuleAst
-    call_site_count: int
 
 
 def lower(ast: nodes.ModuleAst) -> LoweredModule:
@@ -271,7 +268,7 @@ def lower(ast: nodes.ModuleAst) -> LoweredModule:
                     node.site_id = next_site
                     next_site += 1
 
-    return LoweredModule(ast.name, tables, tuple(declared), ast, next_site)
+    return LoweredModule(ast.name, tables, tuple(declared), ast)
 
 
 def compile_source(source: str, file: str = "<string>") -> LoweredModule:

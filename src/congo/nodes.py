@@ -1,15 +1,16 @@
 """AST node definitions for ConGo programs.
 
-Spans (and dispatch bookkeeping such as call-site ids) are excluded from
-equality, so two parses of the same text compare structurally equal even
-when they come from different files or a pretty-printed round trip.
+Spans (and runtime bookkeeping such as call-site ids and compiled
+bodies) are excluded from equality, so two parses of the same text
+compare structurally equal even when they come from different files or a
+pretty-printed round trip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,8 @@ class Lambda:
     annotation: Optional[LayerAnnotation]
     body: Union["Block", "Expr"]  # an Expr body means the compact "->" form
     span: SourceSpan = field(compare=False)
+    # the body's closure, compiled by the interpreter on the first call
+    code: Optional[Callable] = field(default=None, compare=False, repr=False)
 
 
 # --- statements -----------------------------------------------------------

