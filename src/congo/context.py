@@ -4,16 +4,18 @@ A :class:`ConcreteValueStore` holds raw scalars keyed by (context, key)
 and stamps every write with a strictly increasing epoch.  Context
 descriptors map a consistent snapshot of those scalars to sets of meta
 symbols; the :class:`ContextManager` keeps, per module, which
-descriptors are active.
+descriptors are active.  A meta snapshot is a pure function of the
+store's contents, so the manager evaluates it once per store epoch.
 """
 
 from __future__ import annotations
 
 import re
 import threading
+import types
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 from .errors import ContextEvaluationError, FeedError, UnknownContextCtorError
 
@@ -153,18 +155,29 @@ class ContextManager:
 
     def __init__(self) -> None:
         self._registry: Dict[str, Tuple[ContextDescriptor, ...]] = {}
+        # module -> (store, epoch, read-only snapshot) of its last evaluation
+        self._memo: Dict[str, Tuple[ConcreteValueStore, int, Mapping]] = {}
 
     def register_module_contexts(self, module: str, ctor_names) -> None:
         """Instantiate descriptors for a module; re-registration replaces."""
         self._registry[module] = tuple(create_context(n) for n in ctor_names)
+        self._memo.pop(module, None)
 
     def contexts_for(self, module: str) -> Tuple[ContextDescriptor, ...]:
         return self._registry.get(module, ())
 
     def snapshot_meta(
         self, module: str, store: ConcreteValueStore
-    ) -> Tuple[Dict[str, FrozenSet[str]], int]:
-        """Evaluate every registered descriptor against one store snapshot."""
+    ) -> Tuple[Mapping[str, FrozenSet[str]], int]:
+        """The module's meta snapshot of ``store`` and the epoch it was taken at.
+
+        Descriptors are evaluated once per store epoch: while ``store`` is
+        at the epoch of the module's last evaluation, that read-only
+        snapshot is returned again.
+        """
+        memo = self._memo.get(module)
+        if memo is not None and memo[0] is store and memo[1] == store.epoch:
+            return memo[2], memo[1]
         entries, epoch = store.snapshot()
         view = StoreView(entries)
         snapshot: Dict[str, FrozenSet[str]] = {}
@@ -186,7 +199,9 @@ class ContextManager:
                         f"symbol: {symbol!r}",
                     )
             snapshot[descriptor.name] = metas
-        return snapshot, epoch
+        frozen = types.MappingProxyType(snapshot)
+        self._memo[module] = (store, epoch, frozen)
+        return frozen, epoch
 
 
 # --- concrete-value ingestion (CLI --set flags and feed files) -------------

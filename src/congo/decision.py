@@ -52,7 +52,8 @@ class InvocationRequest:
     receiver_id: Optional[int]
     meta_snapshot: Mapping[str, frozenset]
     snapshot_epoch: int
-    reply_topic: Topic
+    # where an event-mode reply goes; a direct call gets its reply returned
+    reply_topic: Optional[Topic] = None
     # Resolved at the call site (per-object override or the global one).
     # In-process reference; a networked bus would route by receiver_id.
     decision_maker: Optional["DecisionMaker"] = None
@@ -92,6 +93,9 @@ class DecisionMaker(ABC):
         pass
 
 
+_NO_METAS: frozenset = frozenset()
+
+
 class DefaultDecisionMaker(DecisionMaker):
     """Static policy: eligible layers stacked LIFO, base innermost.
 
@@ -112,7 +116,7 @@ class DefaultDecisionMaker(DecisionMaker):
         eligible = [
             spec for spec in request.variants
             if spec.constraints and all(
-                meta in snapshot.get(ctx, frozenset())
+                meta in snapshot.get(ctx, _NO_METAS)
                 for ctx, meta in spec.constraints
             )
         ]
@@ -204,19 +208,18 @@ def validate_response(
         )
     if not response.chain:
         raise DecisionFailedError("decision maker returned an empty chain", span)
-    known = {spec.variant_id for spec in request.variants}
-    base_ids = {spec.variant_id for spec in request.variants if not spec.constraints}
+    is_base = {spec.variant_id: not spec.constraints for spec in request.variants}
+    last = len(response.chain) - 1
     for i, variant_id in enumerate(response.chain):
-        if variant_id not in known:
+        base = is_base.get(variant_id)
+        if base is None:
             raise DecisionFailedError(
                 f"decision chain names unknown variant {variant_id!r}", span
             )
-        if variant_id in base_ids and i != len(response.chain) - 1:
+        if base and i != last:
             raise DecisionFailedError(
                 "the base variant may only appear as the last chain element", span
             )
-    if len([v for v in response.chain if v in base_ids]) > 1:
-        raise DecisionFailedError("the base variant may appear at most once", span)
 
 
 # --- registry for named decision makers (CLI and source-level lookup) ------

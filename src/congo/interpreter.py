@@ -271,6 +271,7 @@ class Interpreter:
         # name for calls from the host
         self._sites: Dict[Union[int, str], CallSite] = {}
         self._request_ids = itertools.count(1)
+        self._request_topic = request_topic_for(lowered.name)
         # One entry per running ConGo function: (name, call span, the rest
         # of the chain proceed() runs next or None outside a dispatch, the
         # arguments a bare proceed() re-sends, the receiver).
@@ -387,6 +388,7 @@ class Interpreter:
                 if receiver.decision_maker is not None:
                     dm = receiver.decision_maker
             request_id = next(self._request_ids)
+            event = self._config.dispatch_mode is DispatchMode.EVENT
             request = InvocationRequest(
                 request_id=request_id,
                 module=self._lowered.name,
@@ -396,12 +398,12 @@ class Interpreter:
                 receiver_id=receiver.identity if receiver is not None else None,
                 meta_snapshot=snapshot,
                 snapshot_epoch=epoch,
-                reply_topic=reply_topic_for(request_id),
+                reply_topic=reply_topic_for(request_id) if event else None,
                 decision_maker=dm,
             )
-            if self._config.dispatch_mode is DispatchMode.EVENT:
+            if event:
                 reply = self._bus.request_reply(
-                    request_topic_for(request.module),
+                    self._request_topic,
                     request,
                     request.reply_topic,
                     timeout=self._config.decision_timeout,
@@ -515,9 +517,14 @@ class Interpreter:
     def _builtin_current_meta(self, args: Tuple, span) -> Value:
         if len(args) != 1 or not isinstance(args[0], str):
             raise CallArityError("currentMeta expects one context name", span)
-        snapshot, _ = self._context_manager.snapshot_meta(
-            self._lowered.name, self._store
-        )
+        try:
+            snapshot, _ = self._context_manager.snapshot_meta(
+                self._lowered.name, self._store
+            )
+        except ContextEvaluationError as exc:
+            if exc.span is None:
+                exc.span = span
+            raise
         metas = snapshot.get(args[0])
         if metas is None:
             raise UnknownContextError(

@@ -47,6 +47,16 @@ def mangle(name: str, constraints: Sequence[Tuple[str, str]]) -> str:
 class VariantId:
     mangled_name: str
     declaration_index: int
+    # every decided call hashes its chain's ids; hash them once, here
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.mangled_name, self.declaration_index))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,44 @@ def test_deep_recursion_is_one_error_line(tmp_path):
     assert lines[0].startswith(f"ERROR StackOverflow at {path}:")
 
 
+# registers a descriptor that always raises, then runs the CLI on argv[1:]
+_EXPLODING_CLI = """
+import sys
+from congo.cli import main
+from congo.context import register_context
+
+class Exploding:
+    name = "Exploding"
+
+    def evaluate(self, view):
+        raise RuntimeError("sensor offline")
+
+register_context("Exploding", Exploding)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("dispatch", ["event", "direct"])
+def test_raising_descriptor_in_current_meta_is_one_error_line(tmp_path, dispatch):
+    src = (
+        "module m\n"
+        "contexts = [Exploding()]\n"
+        "function main = || { println(currentMeta(\"Exploding\")) }\n"
+    )
+    path = write(tmp_path, "meta.congo", src)
+    env = dict(os.environ, PYTHONPATH=str(Path(congo.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXPLODING_CLI, "run", path, "--dispatch", dispatch],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr
+    assert lines[0].startswith(f"ERROR ContextEvaluation at {path}:3:30: ")
+    assert "sensor offline" in lines[0]
+
+
 def test_entry_override(tmp_path, capsys):
     src = 'module m\nfunction greet = || { println("from greet") }\n'
     code = main(["run", write(tmp_path, "p.congo", src), "--entry", "greet"])

@@ -227,6 +227,87 @@ def test_meta_symbols_must_be_identifiers():
         unregister_context("BadSymbols")
 
 
+# --- per-epoch memo ---------------------------------------------------------------
+
+
+class _Counting:
+    name = "Counting"
+    evaluations = 0
+
+    def evaluate(self, view):
+        _Counting.evaluations += 1
+        return {"HIGH"} if view.get("Counting", "level", 0) > 5 else {"LOW"}
+
+
+@pytest.fixture
+def counting_manager():
+    _Counting.evaluations = 0
+    register_context("Counting", _Counting)
+    try:
+        manager = ContextManager()
+        manager.register_module_contexts("m", ("Counting",))
+        yield manager
+    finally:
+        unregister_context("Counting")
+
+
+def test_descriptors_evaluate_once_per_store_epoch(counting_manager):
+    store = ConcreteValueStore()
+    store.set("Counting", "level", 1)
+    for _ in range(100):
+        snap, epoch = counting_manager.snapshot_meta("m", store)
+        assert (snap, epoch) == ({"Counting": {"LOW"}}, 1)
+    assert _Counting.evaluations == 1
+    store.set("Counting", "level", 9)
+    assert counting_manager.snapshot_meta("m", store) == ({"Counting": {"HIGH"}}, 2)
+    assert counting_manager.snapshot_meta("m", store) == ({"Counting": {"HIGH"}}, 2)
+    assert _Counting.evaluations == 2
+
+
+def test_memo_tells_stores_at_the_same_epoch_apart(counting_manager):
+    low, high = ConcreteValueStore(), ConcreteValueStore()
+    low.set("Counting", "level", 1)
+    high.set("Counting", "level", 9)
+    assert low.epoch == high.epoch
+    assert counting_manager.snapshot_meta("m", low)[0] == {"Counting": {"LOW"}}
+    assert counting_manager.snapshot_meta("m", high)[0] == {"Counting": {"HIGH"}}
+    assert counting_manager.snapshot_meta("m", low)[0] == {"Counting": {"LOW"}}
+
+
+def test_reregistration_resets_the_memo(counting_manager):
+    store = ConcreteValueStore()
+    store.set("Weather", "rainfall_mm", 7.0)
+    assert counting_manager.snapshot_meta("m", store)[0] == {"Counting": {"LOW"}}
+    counting_manager.register_module_contexts("m", ("Weather",))
+    assert counting_manager.snapshot_meta("m", store)[0] == {"Weather": {"RAINY"}}
+    counting_manager.register_module_contexts("m", ("Counting",))
+    counting_manager.snapshot_meta("m", store)
+    assert _Counting.evaluations == 2
+
+
+def test_raising_descriptor_raises_on_every_call():
+    register_context("Exploding", _Exploding)
+    try:
+        manager = ContextManager()
+        manager.register_module_contexts("m", ("Exploding",))
+        store = ConcreteValueStore()
+        for _ in range(3):
+            with pytest.raises(ContextEvaluationError):
+                manager.snapshot_meta("m", store)
+    finally:
+        unregister_context("Exploding")
+
+
+def test_memoised_snapshot_is_read_only(counting_manager):
+    store = ConcreteValueStore()
+    snap, _ = counting_manager.snapshot_meta("m", store)
+    with pytest.raises(TypeError):
+        snap["Counting"] = frozenset({"HIGH"})
+    with pytest.raises(TypeError):
+        del snap["Counting"]
+    assert counting_manager.snapshot_meta("m", store)[0] == {"Counting": {"LOW"}}
+
+
 # --- ingestion parsing ------------------------------------------------------------
 
 

@@ -805,6 +805,74 @@ def test_validation_runs_through_the_module_global(monkeypatch, mode):
     assert calls == ["f"]
 
 
+class _CountingLevel:
+    name = "Level"
+    evaluations = 0
+
+    def evaluate(self, view):
+        _CountingLevel.evaluations += 1
+        return {"HIGH"} if view.get("Level", "value", 0) > 5 else {"LOW"}
+
+
+def _memo_program(write_at):
+    return (
+        "module m\n"
+        "contexts = [Level()]\n"
+        "function f = |x| -> x\n"
+        "function f = |x| @(Level=HIGH) -> proceed(x + 100)\n"
+        "function main = || {\n"
+        "  let i = 0\n"
+        "  let acc = 0\n"
+        "  while i < 20 {\n"
+        f"    if i == {write_at} {{ setConcrete(\"Level\", \"value\", 9) }}\n"
+        "    acc = acc + f(i)\n"
+        "    i = i + 1\n"
+        "  }\n"
+        "  return acc\n"
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_descriptors_evaluate_once_per_epoch_but_every_call_decides(mode):
+    register_context("Level", _CountingLevel)
+    try:
+        for write_at, evaluations, result in ((-1, 1, 190), (10, 2, 190 + 1000)):
+            _CountingLevel.evaluations = 0
+            dm = CountingDecisionMaker(DefaultDecisionMaker())
+            got, _ = run_program(
+                _memo_program(write_at), mode=mode, decision_maker=dm
+            )
+            assert got == result
+            assert _CountingLevel.evaluations == evaluations
+            assert dm.decisions == 20
+    finally:
+        unregister_context("Level")
+
+
+class _RecordingRequests(DefaultDecisionMaker):
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def decide(self, request):
+        self.requests.append(request)
+        return super().decide(request)
+
+
+def test_only_event_mode_requests_carry_a_reply_topic():
+    for mode in (DispatchMode.EVENT, DispatchMode.DIRECT):
+        dm = _RecordingRequests()
+        run_program(COUNTED, mode=mode, decision_maker=dm)
+        assert len(dm.requests) == 20
+        for request in dm.requests:
+            if mode is DispatchMode.DIRECT:
+                assert request.reply_topic is None
+            else:
+                expected = f"congo/decision/reply/{request.request_id}"
+                assert str(request.reply_topic) == expected
+
+
 def test_epoch_guard_decides_once_for_static_context():
     result_none, _ = run_counted(DispatchMode.EVENT, CachePolicy.NONE)
     result_guard, dm = run_counted(DispatchMode.EVENT, CachePolicy.EPOCH_GUARD)
@@ -1131,6 +1199,24 @@ def test_raising_descriptor_error_carries_the_call_span(mode):
     assert "sensor offline" in str(err.value)
     span = err.value.span  # the call f(1) in main
     assert (span.line, span.column) == (5, 23)
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_raising_descriptor_in_current_meta_carries_the_call_span(mode):
+    src = (
+        "module m\n"
+        "contexts = [Exploding()]\n"
+        "function main = || -> currentMeta(\"Exploding\")\n"
+    )
+    register_context("Exploding", _Exploding)
+    try:
+        with pytest.raises(ContextEvaluationError) as err:
+            run_program(src, mode=mode)
+    finally:
+        unregister_context("Exploding")
+    assert "sensor offline" in str(err.value)
+    span = err.value.span  # the call currentMeta(...) in main
+    assert (span.line, span.column) == (3, 23)
 
 
 def test_unknown_decision_maker_name_fails_at_start():
