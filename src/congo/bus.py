@@ -5,6 +5,14 @@ publishers never execute handlers inline and per-subscription delivery
 is FIFO in publish order.  ``request_reply`` layers a blocking
 request/response protocol on top; calling it from the dispatcher thread
 would deadlock the bus, so that re-entry fails fast instead.
+
+Replies are correlated by reply topic (the Correlation Identifier
+pattern): ``request_reply`` registers one pending entry per reply topic in
+a table the bus owns, and the dispatcher, while it picks a message's
+subscribers, pops the entry for that topic and hands the payload to its
+waiter.  No subscription is made per request.  The first reply wins; a
+duplicate reply, or one that arrives after its request timed out, finds
+no entry and reaches only ordinary subscribers.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import logging
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .errors import BusClosedError, DecisionTimeoutError, ReentrantDispatchError
 
@@ -72,6 +80,17 @@ class Subscription:
         self._active = True
 
 
+class _PendingReply:
+    """One waiting ``request_reply``: a held lock and, once handed over, the reply."""
+
+    __slots__ = ("waiter", "reply")
+
+    def __init__(self) -> None:
+        self.waiter = threading.Lock()
+        self.waiter.acquire()
+        self.reply: object = None
+
+
 _SHUTDOWN = object()
 
 
@@ -85,6 +104,8 @@ class MessageBus:
         # as a barrier so no handler starts after unsubscribe returns.
         self._delivery_lock = threading.Lock()
         self._subscriptions: List[Subscription] = []
+        # reply topic -> the request_reply waiting on it; guarded by _lock
+        self._pending: Dict[Topic, _PendingReply] = {}
         self._seq = 0
         self._closed = False
         self._trace = trace
@@ -97,6 +118,8 @@ class MessageBus:
 
     def publish(self, topic: Topic, payload: object) -> int:
         """Enqueue a message; returns its global publish sequence number."""
+        if not isinstance(topic, Topic):
+            raise TypeError(f"publish needs a Topic, got {type(topic).__name__}")
         with self._lock:
             if self._closed:
                 raise BusClosedError("publish on a bus that was shut down")
@@ -130,30 +153,43 @@ class MessageBus:
         reply_topic: Topic,
         timeout: float = DEFAULT_REPLY_TIMEOUT,
     ):
-        """Publish a request and block until a reply arrives on ``reply_topic``."""
+        """Publish a request and block until a reply arrives on ``reply_topic``.
+
+        Only the first reply on ``reply_topic`` is returned.  Raises
+        ``ValueError`` if another request is already waiting on that topic.
+        """
         if threading.current_thread() is self._thread:
             raise ReentrantDispatchError(
                 "request_reply called from the bus dispatcher context"
             )
-        ready = threading.Event()
-        slot: List[object] = []
-
-        def _on_reply(message: Message) -> None:
-            if not slot:
-                slot.append(message.payload)
-            ready.set()
-
-        subscription = self.subscribe(reply_topic, _on_reply)
+        pending = _PendingReply()
+        with self._lock:
+            if reply_topic in self._pending:
+                raise ValueError(f"a request is already waiting on '{reply_topic}'")
+            self._pending[reply_topic] = pending
         try:
             self.publish(request_topic, payload)
-            if not ready.wait(timeout):
-                raise DecisionTimeoutError(
-                    f"no reply on '{reply_topic}' within {timeout:g}s",
-                    request_id=getattr(payload, "request_id", None),
-                )
-        finally:
-            self.unsubscribe(subscription)
-        return slot[0]
+        except BaseException:
+            self._withdraw(reply_topic, pending)
+            raise
+        if not pending.waiter.acquire(timeout=timeout) and self._withdraw(
+            reply_topic, pending
+        ):
+            raise DecisionTimeoutError(
+                f"no reply on '{reply_topic}' within {timeout:g}s",
+                request_id=getattr(payload, "request_id", None),
+            )
+        # Either the waiter was released, or the entry was already gone: the
+        # dispatcher pops an entry and fills it under _lock, so the reply is in.
+        return pending.reply
+
+    def _withdraw(self, reply_topic: Topic, pending: _PendingReply) -> bool:
+        """Remove ``pending`` unless a reply has claimed it; True if removed."""
+        with self._lock:
+            if self._pending.get(reply_topic) is not pending:
+                return False
+            del self._pending[reply_topic]
+            return True
 
     def shutdown(self) -> None:
         """Stop the dispatcher after draining already-queued messages."""
@@ -196,6 +232,11 @@ class MessageBus:
                         s for s in self._subscriptions
                         if s._active and s.pattern.matches(message.topic)
                     ]
+                    if self._pending:
+                        pending = self._pending.pop(message.topic, None)
+                        if pending is not None:
+                            pending.reply = message.payload
+                            pending.waiter.release()
                 for subscription in targets:
                     if not subscription._active:
                         continue

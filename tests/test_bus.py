@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congo import bus as bus_module
 from congo.bus import MessageBus, Topic
 from congo.errors import BusClosedError, DecisionTimeoutError, ReentrantDispatchError
 
@@ -239,11 +240,140 @@ def test_reentrant_request_reply_raises(bus):
 
 
 def test_timed_out_reply_slot_is_cleaned_up(bus):
+    subscriptions = list(bus._subscriptions)
     with pytest.raises(DecisionTimeoutError):
         bus.request_reply(Topic.parse("t/n"), None, Topic.parse("t/late"), timeout=0.05)
+    assert bus._pending == {}
     # a reply arriving after the timeout must not leak to anyone
     bus.publish(Topic.parse("t/late"), "stale")
     drain(bus)
+    assert bus._pending == {}
+    assert bus._subscriptions == subscriptions
+    bus.subscribe(
+        Topic.parse("t/fresh"),
+        lambda m: bus.publish(Topic.parse("t/reply/fresh"), m.payload),
+    )
+    assert bus.request_reply(
+        Topic.parse("t/fresh"), "own", Topic.parse("t/reply/fresh")
+    ) == "own"
+    assert bus._pending == {}
+
+
+class _ReportsTimeoutAfterHandOver:
+    """A waiter lock whose timed acquire fails only once the reply was handed over."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._lock.acquire()
+
+    def acquire(self, timeout=-1):
+        assert self._lock.acquire(timeout=5.0)
+        return False
+
+    def release(self):
+        self._lock.release()
+
+
+def test_reply_claimed_at_the_timeout_is_still_returned(bus, monkeypatch):
+    class Pending(bus_module._PendingReply):
+        __slots__ = ()
+
+        def __init__(self):
+            self.waiter = _ReportsTimeoutAfterHandOver()
+            self.reply = None
+
+    monkeypatch.setattr(bus_module, "_PendingReply", Pending)
+    bus.subscribe(
+        Topic.parse("t/race"),
+        lambda m: bus.publish(Topic.parse("t/reply/race"), m.payload),
+    )
+    assert bus.request_reply(
+        Topic.parse("t/race"), "won", Topic.parse("t/reply/race"), timeout=0.01
+    ) == "won"
+    assert bus._pending == {}
+
+
+def test_first_reply_wins_and_duplicates_are_dropped(bus):
+    def responder(message):
+        reply_topic, value = message.payload
+        bus.publish(reply_topic, value)
+        bus.publish(reply_topic, "duplicate")
+
+    bus.subscribe(Topic.parse("t/dup"), responder)
+    first = Topic.parse("t/reply/d1")
+    assert bus.request_reply(Topic.parse("t/dup"), (first, "first"), first) == "first"
+    drain(bus)
+    assert bus._pending == {}
+    second = Topic.parse("t/reply/d2")
+    assert bus.request_reply(Topic.parse("t/dup"), (second, "next"), second) == "next"
+    drain(bus)
+    assert bus._pending == {}
+
+
+def test_reply_subscribers_and_trace_still_see_each_reply():
+    lines = []
+    seen = []
+    with MessageBus(trace=lines.append) as bus:
+        bus.subscribe(
+            Topic.parse("t/echo"),
+            lambda m: bus.publish(Topic.parse(f"t/reply/{m.payload}"), m.payload),
+        )
+        bus.subscribe(Topic.parse("t/reply/*"), lambda m: seen.append(m.payload))
+        for i in range(3):
+            assert bus.request_reply(
+                Topic.parse("t/echo"), i, Topic.parse(f"t/reply/{i}")
+            ) == i
+        drain(bus)
+    assert seen == [0, 1, 2]
+    for i in range(3):
+        assert any(line.endswith(f" t/reply/{i} int") for line in lines)
+
+
+def test_second_request_on_a_pending_reply_topic_is_refused(bus):
+    go = threading.Event()
+    requests = []
+
+    def responder(message):
+        requests.append(message.payload)
+        assert go.wait(5.0)
+        bus.publish(Topic.parse("t/reply/shared"), message.payload)
+
+    bus.subscribe(Topic.parse("t/slow"), responder)
+    results = []
+    first = threading.Thread(
+        target=lambda: results.append(bus.request_reply(
+            Topic.parse("t/slow"), "first", Topic.parse("t/reply/shared")
+        ))
+    )
+    first.start()
+    deadline = time.monotonic() + 5.0
+    while Topic.parse("t/reply/shared") not in bus._pending:
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    with pytest.raises(ValueError):
+        bus.request_reply(Topic.parse("t/slow"), "second", Topic.parse("t/reply/shared"))
+    go.set()
+    first.join(5.0)
+    assert not first.is_alive()
+    drain(bus)
+    assert results == ["first"]
+    assert requests == ["first"]
+    assert bus._pending == {}
+
+
+def test_publish_rejects_a_non_topic(bus):
+    with pytest.raises(TypeError):
+        bus.publish(None, "payload")
+    with pytest.raises(TypeError):
+        bus.publish("t/text", "payload")
+
+
+def test_handler_publishing_to_a_bad_topic_leaves_the_dispatcher_alive(bus):
+    bus.subscribe(Topic.parse("t/bad"), lambda m: bus.publish(None, m.payload))
+    bus.publish(Topic.parse("t/bad"), 1)
+    drain(bus)  # the handler has run
+    drain(bus)  # and a message published after it is still delivered
+    assert bus._thread.is_alive()
 
 
 # --- lifecycle --------------------------------------------------------------------
@@ -255,6 +385,14 @@ def test_shutdown_refuses_further_publishes():
     with pytest.raises(BusClosedError):
         bus.publish(Topic.parse("t/z"), None)
     assert bus.closed
+
+
+def test_request_reply_on_a_closed_bus_leaves_no_pending_entry():
+    bus = MessageBus()
+    bus.shutdown()
+    with pytest.raises(BusClosedError):
+        bus.request_reply(Topic.parse("t/req"), None, Topic.parse("t/reply/x"))
+    assert bus._pending == {}
 
 
 def test_shutdown_is_idempotent():

@@ -272,6 +272,19 @@ def test_attached_maker_reports_no_applicable_variant(bus):
     assert isinstance(error, NoApplicableVariantError)
 
 
+def test_request_without_reply_topic_does_not_kill_the_dispatcher(bus):
+    attach_decision_maker(bus, DefaultDecisionMaker())
+    stray = dataclasses.replace(make_request([base_spec()], {}), reply_topic=None)
+    bus.publish(request_topic_for(stray.module), stray)
+    request = make_request([base_spec()], {}, request_id=2)
+    reply = bus.request_reply(
+        request_topic_for(request.module), request, request.reply_topic, timeout=5.0
+    )
+    assert isinstance(reply, DecisionResponse)
+    assert reply.request_id == 2
+    assert bus._thread.is_alive()
+
+
 class _Crashing(DecisionMaker):
     def decide(self, request):
         raise RuntimeError("model unavailable")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
 from congo.decision import (
+    REQUEST_PATTERN,
     CountingDecisionMaker,
     DecisionMaker,
     DecisionResponse,
@@ -1172,6 +1174,50 @@ def test_slow_maker_times_out_in_event_mode():
         run(lowered, entry="main", args=(0,), config=config)
     span = err.value.span  # the call f(d) in main
     assert (span.line, span.column) == (5, 24)
+
+
+class _Gated(DefaultDecisionMaker):
+    """Decides only while ``open`` is set, so a test can make it miss deadlines."""
+
+    def __init__(self):
+        super().__init__()
+        self.open = threading.Event()
+        self.open.set()
+        self.decisions = 0
+
+    def decide(self, request):
+        self.decisions += 1
+        assert self.open.wait(5.0)
+        return super().decide(request)
+
+
+def test_event_mode_leaks_no_subscription_pending_reply_or_thread():
+    threads_before = threading.active_count()
+    dm = _Gated()
+    config = RunConfig(
+        decision_maker=dm,
+        decision_timeout=0.05,
+        initial_values=(("Weather", "rainfall_mm", 7.0),),
+        println=lambda s: None,
+    )
+    runtime = Runtime(compile_source(COUNTED, file="<test>"), config).start()
+    try:
+        for _ in range(50):  # 20 decided calls each
+            assert runtime.call("main") == sum(range(20)) + 20 * 100
+        dm.open.clear()
+        for _ in range(3):
+            with pytest.raises(DecisionTimeoutError):
+                runtime.call("f", (1,))
+        dm.open.set()
+        # queued behind the three late replies, which must all be dropped
+        assert runtime.call("f", (1,)) == 101
+        assert dm.decisions == 1000 + 3 + 1
+        subscriptions = runtime.bus._subscriptions
+        assert [s.pattern for s in subscriptions] == [REQUEST_PATTERN]
+        assert runtime.bus._pending == {}
+    finally:
+        runtime.shutdown()
+    assert threading.active_count() == threads_before
 
 
 class _Exploding:
