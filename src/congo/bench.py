@@ -4,13 +4,14 @@ Four generated programs are measured: a single plain function, a single
 one-layer contextual function, ten nested plain functions, and one
 function with ten stacked always-eligible layers chained via proceed().
 Each benchmark gets a fresh runtime; scores are operations per
-millisecond (mean over the measurement iterations) with the relative
+millisecond (median over the measurement iterations) with the relative
 error reported alongside.  Runs whose relative error reaches 10% are
 flagged unstable, never failed.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import platform
 import statistics
@@ -122,7 +123,7 @@ class BenchResult:
     benchmark: str
     mode: DispatchMode
     cache: CachePolicy
-    throughput: float  # ops/ms, mean over measurement iterations
+    throughput: float  # ops/ms, median over measurement iterations
     relative_error: float
 
     @property
@@ -155,26 +156,37 @@ def _measure(name: str, config: BenchConfig) -> BenchResult:
     with Runtime(lowered, run_config) as runtime:
         for _ in range(config.warmup_iters):
             _run_iteration(runtime, config.iter_duration)
-        scores = [
-            _run_iteration(runtime, config.iter_duration)
-            for _ in range(config.measure_iters)
-        ]
+        scores = []
+        for _ in range(config.measure_iters):
+            gc.collect()  # so no window pays for garbage an earlier one left
+            scores.append(_run_iteration(runtime, config.iter_duration))
     mean = statistics.fmean(scores)
     rel_err = statistics.stdev(scores) / mean if mean > 0 else 0.0
-    return BenchResult(name, config.mode, config.cache, mean, rel_err)
+    median = statistics.median(scores)
+    return BenchResult(name, config.mode, config.cache, median, rel_err)
 
 
 def run_benchmarks(config: Optional[BenchConfig] = None) -> List[BenchResult]:
     config = config or BenchConfig()
     ensure_bench_context()
     results = []
-    for name in config.benchmarks:
-        try:
-            results.append(_measure(name, config))
-        except Exception as exc:
-            raise BenchHarnessError(
-                f"benchmark '{name}' failed: {type(exc).__name__}: {exc}"
-            ) from exc
+    # One CPU for this thread and the bus threads it starts; left free, they
+    # wake on any CPU and event-mode scores swing from window to window.
+    pinned = hasattr(os, "sched_setaffinity")
+    if pinned:
+        old_mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {max(old_mask)})
+    try:
+        for name in config.benchmarks:
+            try:
+                results.append(_measure(name, config))
+            except Exception as exc:
+                raise BenchHarnessError(
+                    f"benchmark '{name}' failed: {type(exc).__name__}: {exc}"
+                ) from exc
+    finally:
+        if pinned:
+            os.sched_setaffinity(0, old_mask)
     return results
 
 

@@ -173,7 +173,9 @@ class ContextManager:
 
         Descriptors are evaluated once per store epoch: while ``store`` is
         at the epoch of the module's last evaluation, that read-only
-        snapshot is returned again.
+        snapshot is returned again.  When a new epoch's evaluation equals
+        that snapshot, the same object is returned with the new epoch, so
+        snapshot identity changes only when some meta does.
         """
         memo = self._memo.get(module)
         if memo is not None and memo[0] is store and memo[1] == store.epoch:
@@ -199,7 +201,10 @@ class ContextManager:
                         f"symbol: {symbol!r}",
                     )
             snapshot[descriptor.name] = metas
-        frozen = types.MappingProxyType(snapshot)
+        if memo is not None and memo[0] is store and memo[2] == snapshot:
+            frozen = memo[2]
+        else:
+            frozen = types.MappingProxyType(snapshot)
         self._memo[module] = (store, epoch, frozen)
         return frozen, epoch
 

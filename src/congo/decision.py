@@ -11,9 +11,11 @@ first) or a :class:`DecisionFailure`, whichever way it travelled.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .bus import MessageBus, Subscription, Topic
@@ -23,7 +25,7 @@ from .errors import (
     StackOverflowError,
     UnknownDecisionMakerError,
 )
-from .lowering import VariantId, VariantSpec
+from .lowering import Variant, VariantId, VariantSpec
 
 log = logging.getLogger("congo.decision")
 
@@ -34,8 +36,14 @@ def request_topic_for(module: str) -> Topic:
     return Topic(("congo", "decision", "request", *module.split(".")))
 
 
+_REPLY_PREFIX = Topic(("congo", "decision", "reply")).segments
+
+
 def reply_topic_for(request_id: int) -> Topic:
-    return Topic(("congo", "decision", "reply", str(request_id)))
+    # skips Topic's checks: the prefix passed them above, and "%d" is legal
+    topic = object.__new__(Topic)
+    object.__setattr__(topic, "segments", (*_REPLY_PREFIX, "%d" % request_id))
+    return topic
 
 
 def context_changed_topic(context: str) -> Topic:
@@ -94,6 +102,8 @@ class DecisionMaker(ABC):
 
 
 _NO_METAS: frozenset = frozenset()
+_NO_CHAINS: Mapping = MappingProxyType({})
+_VARIANT_ID = itertools.repeat(VariantId)  # isinstance's second argument, for map()
 
 
 class DefaultDecisionMaker(DecisionMaker):
@@ -103,15 +113,40 @@ class DefaultDecisionMaker(DecisionMaker):
     satisfied by the request's meta snapshot.  Eligible layers compose
     in reverse declaration order (the last declared layer runs first),
     with the base as the final chain element.
+
+    The chain depends only on ``request.variants`` (one table's specs)
+    and ``request.meta_snapshot``, so it is memoised per pair of those
+    objects: indexed by their ``id()``s, holding both (so neither address
+    can be reused while the entry lives) and hit only when both are the
+    request's own objects (``is``).  The first miss at a new
+    ``snapshot_epoch`` drops the memo, so it holds at most the tables
+    decided under the snapshots sent since then.  A sent snapshot must not
+    change (the interpreter's are read-only).  Failures are not memoised.
+    Other makers have no memo: each decided call calls them.
     """
 
     def __init__(self) -> None:
         self._config: Dict = {}
+        # (epoch, {(id(snapshot), id(variants)): (snapshot, variants, chain)}); for
+        # threads sharing a maker, read via one local and replaced in one store
+        self._memo: Tuple[object, Dict] = (None, {})
 
     def init(self, config: Mapping) -> None:
         self._config = dict(config)
 
     def decide(self, request: InvocationRequest) -> DecisionResponse:
+        snapshot, variants = request.meta_snapshot, request.variants
+        key = (id(snapshot), id(variants))
+        memo = self._memo
+        entry = memo[1].get(key)
+        if entry is None or entry[0] is not snapshot or entry[1] is not variants:
+            chain = self._chain(request)
+            if memo[0] != request.snapshot_epoch:
+                memo = self._memo = (request.snapshot_epoch, {})
+            entry = memo[1][key] = (snapshot, variants, chain)
+        return DecisionResponse(request.request_id, entry[2], request.snapshot_epoch)
+
+    def _chain(self, request: InvocationRequest) -> Tuple[VariantId, ...]:
         snapshot = request.meta_snapshot
         eligible = [
             spec for spec in request.variants
@@ -126,7 +161,7 @@ class DefaultDecisionMaker(DecisionMaker):
             chain.append(base.variant_id)
         if not chain:
             raise NoApplicableVariantError(request.module, request.function_name)
-        return DecisionResponse(request.request_id, tuple(chain), request.snapshot_epoch)
+        return tuple(chain)
 
 
 class CountingDecisionMaker(DecisionMaker):
@@ -197,20 +232,32 @@ def failure_to_error(
 
 
 def validate_response(
-    request: InvocationRequest, response: DecisionResponse, span=None
-) -> None:
-    """Check the chain-legality invariants; raise DecisionFailedError if broken."""
+    request: InvocationRequest, response: DecisionResponse, span=None, validated=_NO_CHAINS
+) -> Optional[Tuple[Variant, ...]]:
+    """Check the chain-legality invariants; raise DecisionFailedError if broken.
+
+    ``validated`` maps chains of the request's table that passed before to
+    their variants, which are returned; other chains get the full check.
+    """
     if response.request_id != request.request_id:
         raise DecisionFailedError(
             f"decision response id {response.request_id} does not match "
             f"request {request.request_id}",
             span,
         )
-    if not response.chain:
+    chain = response.chain
+    if type(chain) is not tuple or not all(map(isinstance, chain, _VARIANT_ID)):
+        raise DecisionFailedError(
+            f"decision chain must be a tuple of variant ids, got {chain!r}", span
+        )
+    if not chain:
         raise DecisionFailedError("decision maker returned an empty chain", span)
+    variants = validated.get(chain)
+    if variants is not None:
+        return variants
     is_base = {spec.variant_id: not spec.constraints for spec in request.variants}
-    last = len(response.chain) - 1
-    for i, variant_id in enumerate(response.chain):
+    last = len(chain) - 1
+    for i, variant_id in enumerate(chain):
         base = is_base.get(variant_id)
         if base is None:
             raise DecisionFailedError(

@@ -25,7 +25,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import nodes
 from .bus import MessageBus
@@ -272,6 +273,9 @@ class Interpreter:
         self._sites: Dict[Union[int, str], CallSite] = {}
         self._request_ids = itertools.count(1)
         self._request_topic = request_topic_for(lowered.name)
+        # contexts(...) override -> (snapshot, read-only filtered view): one
+        # object per pair, as the default decision maker's memo needs
+        self._filtered: Dict[Tuple[str, ...], Tuple[Mapping, Mapping]] = {}
         # One entry per running ConGo function: (name, call span, the rest
         # of the chain proceed() runs next or None outside a dispatch, the
         # arguments a bare proceed() re-sends, the receiver).
@@ -380,11 +384,15 @@ class Interpreter:
             )
             dm = self._global_dm
             if receiver is not None:
-                if receiver.contexts_override is not None:
-                    snapshot = {
-                        name: metas for name, metas in snapshot.items()
-                        if name in receiver.contexts_override
-                    }
+                override = receiver.contexts_override
+                if override is not None:
+                    cached = self._filtered.get(override)
+                    if cached is None or cached[0] is not snapshot:
+                        cached = self._filtered[override] = (snapshot, MappingProxyType({
+                            name: metas for name, metas in snapshot.items()
+                            if name in override
+                        }))
+                    snapshot = cached[1]
                 if receiver.decision_maker is not None:
                     dm = receiver.decision_maker
             request_id = next(self._request_ids)
@@ -420,8 +428,10 @@ class Interpreter:
             raise DecisionFailedError(
                 f"unexpected decision reply: {type(reply).__name__}", span
             )
-        validate_response(request, reply, span)
-        chain = tuple(data.by_id[variant_id] for variant_id in reply.chain)
+        chain = validate_response(request, reply, span, data.chains)
+        if chain is None:  # first time this chain passed for this table
+            chain = tuple(map(data.by_id.__getitem__, reply.chain))
+            data.chains[reply.chain] = chain
         if site is not None:
             site.chain, site.epoch, site.receiver = chain, epoch, receiver_key
         return self._invoke_variant(chain[0], receiver, args, chain[1:], span)

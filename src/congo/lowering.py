@@ -91,6 +91,8 @@ class DispatchData(NamedTuple):
     by_id: Dict[VariantId, Variant]
     # a before/after layer with no base to proceed to, or None
     missing_base: Optional[Variant]
+    # chains that passed validate_response -> the variants they name
+    chains: Dict[Tuple[VariantId, ...], Tuple[Variant, ...]]
 
 
 @dataclass
@@ -123,6 +125,7 @@ class VariantTable:
                 tuple(VariantSpec(v.variant_id, v.constraints, v.mode) for v in variants),
                 {v.variant_id: v for v in variants},
                 self.missing_base_layer(),
+                {},
             )
         return data
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 
 import pytest
 
@@ -101,6 +102,49 @@ def test_measure_flags_noisy_windows(monkeypatch, scores, unstable):
     result = bench_mod._measure("plain_single", tiny_config(measure_iters=4))
     assert result.throughput == pytest.approx(sum(scores) / 2)
     assert result.unstable is unstable
+
+
+def test_measure_reports_the_median_and_collects_before_each_window(monkeypatch):
+    import congo.bench as bench_mod
+
+    events = []
+    windows = iter([5.0, 1.0, 1.0, 10.0])  # one warmup, three measured
+
+    def window(runtime, duration):
+        events.append("window")
+        return next(windows)
+
+    monkeypatch.setattr(bench_mod, "_run_iteration", window)
+    monkeypatch.setattr(bench_mod.gc, "collect", lambda: events.append("gc"))
+    ensure_bench_context()
+    result = bench_mod._measure("plain_single", tiny_config(measure_iters=3))
+    assert result.throughput == 1.0
+    assert result.unstable  # relative error is still stdev over mean
+    assert events == ["window"] + ["gc", "window"] * 3
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
+)
+def test_benchmarks_run_on_one_cpu_and_restore_the_mask(monkeypatch):
+    import congo.bench as bench_mod
+
+    masks = []
+
+    def window(runtime, duration):
+        masks.append(os.sched_getaffinity(0))
+        return 1.0
+
+    monkeypatch.setattr(bench_mod, "_run_iteration", window)
+    before = os.sched_getaffinity(0)
+    run_benchmarks(tiny_config(benchmarks=("plain_single",)))
+    assert os.sched_getaffinity(0) == before
+    assert masks and all(mask == {max(before)} for mask in masks)
+    # also restored when a benchmark fails
+    monkeypatch.setattr(bench_mod, "_run_iteration", lambda runtime, duration: 1 / 0)
+    with pytest.raises(BenchHarnessError):
+        run_benchmarks(tiny_config(benchmarks=("plain_single",)))
+    assert os.sched_getaffinity(0) == before
 
 
 def test_format_table_layout():

@@ -274,6 +274,26 @@ def test_memo_tells_stores_at_the_same_epoch_apart(counting_manager):
     assert counting_manager.snapshot_meta("m", low)[0] == {"Counting": {"LOW"}}
 
 
+def test_snapshot_object_is_kept_across_meta_neutral_writes(counting_manager):
+    store = ConcreteValueStore()
+    store.set("Counting", "level", 1)
+    low, epoch = counting_manager.snapshot_meta("m", store)
+    store.set("Counting", "level", 2)  # still LOW
+    same, neutral_epoch = counting_manager.snapshot_meta("m", store)
+    assert same is low
+    assert neutral_epoch == epoch + 1
+    store.set("Counting", "level", 9)
+    high, changed_epoch = counting_manager.snapshot_meta("m", store)
+    assert high is not low
+    assert changed_epoch == neutral_epoch + 1
+    assert (low, high) == ({"Counting": {"LOW"}}, {"Counting": {"HIGH"}})
+    assert _Counting.evaluations == 3
+    # another store with the same metas gets its own snapshot object
+    other = ConcreteValueStore()
+    other.set("Counting", "level", 9)
+    assert counting_manager.snapshot_meta("m", other)[0] is not high
+
+
 def test_reregistration_resets_the_memo(counting_manager):
     store = ConcreteValueStore()
     store.set("Weather", "rainfall_mm", 7.0)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,21 @@ def test_request_topic_splits_module_dots():
 def test_reply_and_context_topics():
     assert str(reply_topic_for(17)) == "congo/decision/reply/17"
     assert str(context_changed_topic("Weather")) == "congo/context/changed/Weather"
+
+
+def test_reply_topic_equals_a_parsed_one_and_is_delivered(bus):
+    topic = reply_topic_for(17)
+    parsed = Topic.parse("congo/decision/reply/17")
+    assert topic == parsed
+    assert hash(topic) == hash(parsed)
+    assert {parsed: "x"}[topic] == "x"
+    got = []
+    done = threading.Event()
+    bus.subscribe(Topic.parse("congo/decision/reply/*"), got.append)
+    bus.subscribe(parsed, lambda message: (got.append(message), done.set()))
+    bus.publish(topic, "reply")
+    assert done.wait(5.0)
+    assert [m.payload for m in got] == ["reply", "reply"]
 
 
 # --- the default decision maker ----------------------------------------------
@@ -214,15 +230,98 @@ def _random_requests(draw):
     return make_request(variants, snapshot)
 
 
+# one maker across all examples, so its memo sees many tables and snapshots
+_SHARED_MAKER = DefaultDecisionMaker()
+
+
 @settings(max_examples=300, deadline=None)
 @given(_random_requests())
 def test_decide_matches_lifo_oracle(request):
     expected = lifo_oracle(request)
     if expected:
         assert list(DefaultDecisionMaker().decide(request).chain) == expected
+        for _ in range(2):  # a miss, then a memo hit
+            assert list(_SHARED_MAKER.decide(request).chain) == expected
     else:
+        for maker in (DefaultDecisionMaker(), _SHARED_MAKER, _SHARED_MAKER):
+            with pytest.raises(NoApplicableVariantError):
+                maker.decide(request)
+
+
+# --- the decision memo ----------------------------------------------------------
+
+
+class _MissCounting(DefaultDecisionMaker):
+    def __init__(self):
+        super().__init__()
+        self.misses = 0
+
+    def _chain(self, request):
+        self.misses += 1
+        return super()._chain(request)
+
+
+def _request_with(variants, snapshot, epoch, request_id=1):
+    return dataclasses.replace(
+        make_request(variants, {}, request_id=request_id),
+        meta_snapshot=snapshot,
+        snapshot_epoch=epoch,
+    )
+
+
+def test_memo_hits_only_for_the_same_table_and_snapshot_objects():
+    variants = (base_spec(), layer_spec("f", [("C", "ON")], 1))
+    on = {"C": frozenset({"ON"})}
+    dm = _MissCounting()
+    first = dm.decide(_request_with(variants, on, 1, request_id=1))
+    second = dm.decide(_request_with(variants, on, 1, request_id=2))
+    assert dm.misses == 1
+    assert second.chain is first.chain
+    assert (second.request_id, second.epoch) == (2, 1)
+    # equal but distinct objects are other keys
+    dm.decide(_request_with(variants, dict(on), 1))
+    dm.decide(_request_with(variants[:1] + variants[1:], on, 1))
+    assert dm.misses == 3
+    # a snapshot kept across epochs still hits, and reports the new epoch
+    assert dm.decide(_request_with(variants, on, 7)).epoch == 7
+    assert dm.misses == 3
+
+
+def test_memo_never_answers_for_a_freed_table_at_its_address():
+    # each variants tuple is freed after its decision, and a later one,
+    # alike in shape, tends to take its address (every other one, in
+    # CPython; hence a period of 3 for the metas)
+    snapshot = {"C": frozenset({"ON"})}
+    dm = DefaultDecisionMaker()
+    for i in range(1000):
+        meta = ("ON", "OFF", "ON")[i % 3]
+        variants = (base_spec(), layer_spec("f", [("C", meta)], 1))
+        chain = dm.decide(_request_with(variants, snapshot, 1)).chain
+        assert len(chain) == (2 if meta == "ON" else 1), f"table {i}"
+        del variants  # free it before the next one is built
+
+
+def test_memo_is_dropped_on_a_miss_at_a_new_epoch():
+    variants = (base_spec(), layer_spec("f", [("C", "ON")], 1))
+    on, off = {"C": frozenset({"ON"})}, {"C": frozenset()}
+    dm = _MissCounting()
+    dm.decide(_request_with(variants, on, 1))
+    assert chain_names(dm.decide(_request_with(variants, off, 2))) == ["f"]
+    assert dm.misses == 2
+    assert [entry[0] for entry in dm._memo[1].values()] == [off]
+    assert dm.decide(_request_with(variants, on, 3)).chain[0].declaration_index == 1
+    assert dm.misses == 3
+
+
+def test_no_applicable_variant_is_not_memoised():
+    variants = (layer_spec("f", [("C", "ON")], 0),)
+    snapshot = {"C": frozenset()}
+    dm = _MissCounting()
+    for _ in range(3):
         with pytest.raises(NoApplicableVariantError):
-            DefaultDecisionMaker().decide(request)
+            dm.decide(_request_with(variants, snapshot, 1))
+    assert dm.misses == 3
+    assert dm._memo[1] == {}
 
 
 # --- counting wrapper -----------------------------------------------------------
@@ -372,6 +471,48 @@ def test_validate_rejects_duplicate_base():
     )
     with pytest.raises(DecisionFailedError):
         validate_response(request, doubled)
+
+
+def _malformed_chains(good):
+    return {
+        "list": list(good),
+        "unhashable-element": ([1], good[-1]),
+        "non-sequence": 5,
+        "non-variant-id-element": (good[0], "f"),
+    }
+
+
+@pytest.mark.parametrize(
+    "shape", ["list", "unhashable-element", "non-sequence", "non-variant-id-element"]
+)
+def test_validate_rejects_malformed_chains(shape):
+    request, response = valid_pair()
+    chain = _malformed_chains(response.chain)[shape]
+    bad = DecisionResponse(request.request_id, chain, response.epoch)
+    for validated in ({}, {response.chain: ("resolved",)}):
+        with pytest.raises(DecisionFailedError, match="tuple of variant ids"):
+            validate_response(request, bad, None, validated)
+
+
+def test_validated_chains_skip_the_check_but_admit_no_illegal_chain():
+    request, response = valid_pair()
+    validated = {}
+    assert validate_response(request, response, None, validated) is None
+    validated[response.chain] = ("resolved",)
+    assert validate_response(request, response, None, validated) == ("resolved",)
+    layer, base = response.chain
+    for chain in ((base, layer), (base, base), (layer, VariantId("stranger", 9))):
+        with pytest.raises(DecisionFailedError):
+            validate_response(
+                request, DecisionResponse(request.request_id, chain, 0), None, validated
+            )
+    with pytest.raises(DecisionFailedError, match="does not match"):
+        validate_response(
+            request,
+            DecisionResponse(request.request_id + 1, response.chain, 0),
+            None,
+            validated,
+        )
 
 
 # --- registry -------------------------------------------------------------------------

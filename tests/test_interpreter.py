@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -35,7 +36,7 @@ from congo.errors import (
 )
 from congo import nodes as N
 from congo.interpreter import CachePolicy, DispatchMode, RunConfig, Runtime, run
-from congo.lowering import compile_source
+from congo.lowering import VariantId, compile_source
 
 from helpers import run_program
 
@@ -1263,6 +1264,253 @@ def test_raising_descriptor_in_current_meta_carries_the_call_span(mode):
     assert "sensor offline" in str(err.value)
     span = err.value.span  # the call currentMeta(...) in main
     assert (span.line, span.column) == (3, 23)
+
+
+class _Malformed(DecisionMaker):
+    """Answers with the right variants in a chain of the wrong shape."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def decide(self, request):
+        good = DefaultDecisionMaker().decide(request)
+        chain = {
+            "list": list(good.chain),
+            "unhashable-element": ([1], good.chain[-1]),
+            "non-sequence": 5,
+            "non-variant-id-element": (good.chain[0], "f"),
+        }[self.shape]
+        return DecisionResponse(good.request_id, chain, good.epoch)
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+@pytest.mark.parametrize(
+    "shape", ["list", "unhashable-element", "non-sequence", "non-variant-id-element"]
+)
+def test_malformed_chain_is_a_decision_failure(mode, shape):
+    with pytest.raises(DecisionFailedError, match="tuple of variant ids") as err:
+        run_program(
+            LAYERED, mode=mode, decision_maker=_Malformed(shape), **contextual_args()
+        )
+    span = err.value.span  # the call f(d) in main
+    assert (span.line, span.column) == (5, 24)
+
+
+class _LegalThenIllegal(DecisionMaker):
+    """A legal chain for the first call, then an illegal one of the same table."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.calls = 0
+
+    def decide(self, request):
+        good = DefaultDecisionMaker().decide(request)
+        self.calls += 1
+        if self.calls == 1:
+            return good
+        layer, base = good.chain
+        chain = {
+            "scrambled": (base, layer),
+            "doubled-base": (layer, base, base),
+            "foreign": (layer, VariantId("stranger", 9)),
+        }[self.kind]
+        return DecisionResponse(good.request_id, chain, good.epoch)
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+@pytest.mark.parametrize("kind", ["scrambled", "doubled-base", "foreign"])
+def test_illegal_chain_rejected_after_a_legal_one_was_cached(mode, kind):
+    src = LAYERED.replace("-> f(d)\n", "-> f(d) + f(d)\n")
+    dm = _LegalThenIllegal(kind)
+    with pytest.raises(DecisionFailedError):
+        run_program(src, mode=mode, decision_maker=dm, **contextual_args())
+    assert dm.calls == 2
+
+
+# --- the default maker's decision memo -----------------------------------------------
+
+
+class _MissCounting(DefaultDecisionMaker):
+    """Records each decision the memo could not answer."""
+
+    def __init__(self):
+        super().__init__()
+        self.misses = []
+
+    def _chain(self, request):
+        self.misses.append(request.function_name)
+        return super()._chain(request)
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_layer_defined_after_a_decision_runs_on_the_next_call(mode):
+    src = (
+        "module m\n"
+        "contexts = [Weather(), Battery()]\n"
+        "function main = || {\n"
+        "  let o = DynamicObject()\n"
+        "  o: define(\"f\", |this| -> \"base\")\n"
+        "  o: define(\"f\", |this| @(Weather=RAINY) -> \"rainy \" + proceed())\n"
+        "  let first = o: f()\n"
+        "  o: define(\"f\", |this| @(Battery=OK) -> \"ok \" + proceed())\n"
+        "  return first + \" | \" + o: f()\n"
+        "}\n"
+    )
+    dm = _MissCounting()
+    result, _ = run_program(
+        src, mode=mode, decision_maker=dm, initial=[("Weather", "rainfall_mm", 7.0)]
+    )
+    assert result == "rainy base | ok rainy base"
+    assert dm.misses == ["f", "f"]
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_contexts_receiver_and_function_each_decide_once(mode):
+    # o sees only Weather, so its Battery layer never runs; f sees both
+    src = (
+        "module m\n"
+        "contexts = [Weather(), Battery()]\n"
+        "function f = |x| -> x\n"
+        "function f = |x| @(Battery=OK) -> proceed(x) + 1\n"
+        "function main = || {\n"
+        "  let o = DynamicObject(): contexts(\"Weather\")\n"
+        "  o: define(\"g\", |this, x| -> x)\n"
+        "  o: define(\"g\", |this, x| @(Battery=OK) -> proceed(x) + 100)\n"
+        "  o: define(\"g\", |this, x| @(Weather=RAINY) -> proceed(x) + 10)\n"
+        "  let i = 0\n"
+        "  let acc = 0\n"
+        "  while i < 50 {\n"
+        "    acc = acc + o: g(i) + f(i)\n"
+        "    i = i + 1\n"
+        "  }\n"
+        "  return acc\n"
+        "}\n"
+    )
+    dm = _MissCounting()
+    result, _ = run_program(
+        src, mode=mode, decision_maker=dm, initial=[("Weather", "rainfall_mm", 7.0)]
+    )
+    assert result == sum(i + 10 + i + 1 for i in range(50))
+    assert dm.misses == ["g", "f"]
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_meta_neutral_writes_keep_the_decision(mode):
+    src = (
+        "module m\n"
+        "contexts = [Weather()]\n"
+        "function f = |x| -> x\n"
+        "function f = |x| @(Weather=RAINY) -> proceed(x + 100)\n"
+        "function main = || {\n"
+        "  let i = 0\n"
+        "  let acc = 0\n"
+        "  while i < 20 {\n"
+        "    setConcrete(\"Weather\", \"rainfall_mm\", 5.0 + i)\n"
+        "    acc = acc + f(i)\n"
+        "    i = i + 1\n"
+        "  }\n"
+        "  setConcrete(\"Weather\", \"rainfall_mm\", 0.0)\n"
+        "  return acc + f(1000)\n"
+        "}\n"
+    )
+    dm = _MissCounting()
+    result, _ = run_program(src, mode=mode, decision_maker=dm)
+    assert result == sum(range(20)) + 20 * 100 + 1000
+    assert dm.misses == ["f", "f"]
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_a_thousand_short_lived_objects_each_run_their_own_chain(mode):
+    # Same-shaped tables whose chains differ.  No method closes over its
+    # object, so each object is freed right after its call, and a memo
+    # that did not hold its keys' objects would see a freed table's
+    # address come back.
+    src = (
+        "module m\n"
+        "contexts = [Weather(), Battery()]\n"
+        "function base = |k| -> |this| -> k\n"
+        "function layer = |k| {\n"
+        "  if k % 3 == 0 { return |this| @(Weather=RAINY) -> proceed() * 2 }\n"
+        "  if k % 3 == 1 { return |this| @(Weather=CLEAR) -> proceed() * 3 }\n"
+        "  return |this| @(Battery=OK) -> proceed() + 5\n"
+        "}\n"
+        "function make = |k| -> DynamicObject(): define(\"v\", base(k)): "
+        "define(\"v\", layer(k))\n"
+        "function main = || {\n"
+        "  let i = 0\n"
+        "  let acc = 0\n"
+        "  while i < 1000 {\n"
+        "    acc = acc + make(i): v()\n"
+        "    i = i + 1\n"
+        "  }\n"
+        "  return acc\n"
+        "}\n"
+    )
+    dm = _MissCounting()
+    result, _ = run_program(
+        src, mode=mode, decision_maker=dm, initial=[("Weather", "rainfall_mm", 7.0)]
+    )
+    assert result == sum((2 * k, k, k + 5)[k % 3] for k in range(1000))
+    assert len(dm.misses) == 1000
+
+
+def test_one_default_maker_serves_event_runtimes_concurrently():
+    src = (
+        "module m\n"
+        "contexts = [Weather()]\n"
+        "function f = |x| -> x\n"
+        "function f = |x| @(Weather=RAINY) -> proceed(x) + 1000\n"
+        "function f = |x| @(Weather=CLEAR) -> proceed(x) * 2\n"
+    )
+    lowered = compile_source(src, file="<test>")
+    dm = DefaultDecisionMaker()
+    rainy, clear = (lambda x: x + 1000), (lambda x: 2 * x)
+    # Four event-mode runtimes, two per context, plus two direct-mode ones
+    # that decide on their client threads.  Each runtime is at its own
+    # epoch, so every runtime's misses keep dropping the memo the others
+    # are reading.
+    cases = []
+    for writes, oracle, mode in (
+        (1, rainy, DispatchMode.EVENT),
+        (2, clear, DispatchMode.EVENT),
+        (3, rainy, DispatchMode.EVENT),
+        (4, clear, DispatchMode.EVENT),
+        (5, rainy, DispatchMode.DIRECT),
+        (6, clear, DispatchMode.DIRECT),
+    ):
+        rainfall = 7.0 if oracle is rainy else 0.0
+        initial = (("Weather", "rainfall_mm", rainfall),) * writes
+        config = RunConfig(dispatch_mode=mode, decision_maker=dm, initial_values=initial)
+        cases.append((config, oracle))
+    runtimes = [Runtime(lowered, config).start() for config, _ in cases]
+    wrong = []
+
+    def client(runtime, oracle):
+        for i in range(2000):
+            try:
+                got = runtime.call("f", (i,))
+            except Exception as exc:  # reported below, not lost in the thread
+                got = exc
+            if got != oracle(i):
+                wrong.append((i, got))
+
+    threads = [
+        threading.Thread(target=client, args=(runtime, oracle))
+        for runtime, (_, oracle) in zip(runtimes, cases)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+        for runtime in runtimes:
+            runtime.shutdown()
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_unknown_decision_maker_name_fails_at_start():
