@@ -16,7 +16,7 @@ from .bench import (
     run_property_checks,
 )
 from .context import parse_concrete_assignment, parse_feed
-from .errors import CongoError, FeedError
+from .errors import CongoError, ReadError
 from .interpreter import CachePolicy, DispatchMode, RunConfig, run
 from .lowering import compile_source, format_ir
 
@@ -68,28 +68,24 @@ def _print_error(exc: CongoError) -> None:
         sys.stderr.write(f"ERROR {exc.kind}: {exc.message}\n")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _read_text(path: str) -> str:
     try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            source = handle.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
     except OSError as exc:
-        sys.stderr.write(f"ERROR Io: cannot read {args.file}: {exc.strerror}\n")
-        return 1
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    raise ReadError(f"cannot read {path}: {reason}")
 
-    initial = list(args.assignments)
-    if args.feed:
-        try:
-            with open(args.feed, "r", encoding="utf-8") as handle:
-                initial.extend(parse_feed(handle.read()))
-        except OSError as exc:
-            sys.stderr.write(f"ERROR Io: cannot read {args.feed}: {exc.strerror}\n")
-            return 1
-        except FeedError as exc:
-            _print_error(exc)
-            return 1
 
+def _cmd_run(args: argparse.Namespace) -> int:
     trace = (lambda line: sys.stderr.write(line + "\n")) if args.trace_bus else None
     try:
+        source = _read_text(args.file)
+        initial = list(args.assignments)
+        if args.feed:
+            initial.extend(parse_feed(_read_text(args.feed)))
         lowered = compile_source(source, file=args.file)
         if args.emit_ir:
             print(format_ir(lowered))

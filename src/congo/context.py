@@ -155,8 +155,9 @@ class ContextManager:
 
     def __init__(self) -> None:
         self._registry: Dict[str, Tuple[ContextDescriptor, ...]] = {}
-        # module -> (store, epoch, read-only snapshot) of its last evaluation
-        self._memo: Dict[str, Tuple[ConcreteValueStore, int, Mapping]] = {}
+        # module -> (store, epoch, read-only snapshot, {only: read-only view})
+        # of its last evaluation
+        self._memo: Dict[str, Tuple[ConcreteValueStore, int, Mapping, Dict]] = {}
 
     def register_module_contexts(self, module: str, ctor_names) -> None:
         """Instantiate descriptors for a module; re-registration replaces."""
@@ -167,7 +168,7 @@ class ContextManager:
         return self._registry.get(module, ())
 
     def snapshot_meta(
-        self, module: str, store: ConcreteValueStore
+        self, module: str, store: ConcreteValueStore, only: Optional[Tuple[str, ...]] = None
     ) -> Tuple[Mapping[str, FrozenSet[str]], int]:
         """The module's meta snapshot of ``store`` and the epoch it was taken at.
 
@@ -175,38 +176,45 @@ class ContextManager:
         at the epoch of the module's last evaluation, that read-only
         snapshot is returned again.  When a new epoch's evaluation equals
         that snapshot, the same object is returned with the new epoch, so
-        snapshot identity changes only when some meta does.
+        snapshot identity changes only when some meta does.  So does that
+        of the view narrowed to ``only`` (a receiver's ``contexts(...)``):
+        each snapshot object keeps one read-only view per ``only``.
         """
         memo = self._memo.get(module)
-        if memo is not None and memo[0] is store and memo[1] == store.epoch:
-            return memo[2], memo[1]
-        entries, epoch = store.snapshot()
-        view = StoreView(entries)
-        snapshot: Dict[str, FrozenSet[str]] = {}
-        for descriptor in self._registry.get(module, ()):
-            try:
-                metas = frozenset(descriptor.evaluate(view))
-            except RecursionError:
-                raise  # the caller's stack ran out; the interpreter reports it
-            except Exception as exc:
-                raise ContextEvaluationError(
-                    descriptor.name,
-                    f"context '{descriptor.name}' failed to evaluate: {exc}",
-                ) from exc
-            for symbol in metas:
-                if not isinstance(symbol, str) or not _META_SYMBOL_RE.match(symbol):
+        if memo is None or memo[0] is not store or memo[1] != store.epoch:
+            entries, epoch = store.snapshot()
+            view = StoreView(entries)
+            snapshot: Dict[str, FrozenSet[str]] = {}
+            for descriptor in self._registry.get(module, ()):
+                try:
+                    metas = frozenset(descriptor.evaluate(view))
+                except RecursionError:
+                    raise  # the caller's stack ran out; the interpreter reports it
+                except Exception as exc:
                     raise ContextEvaluationError(
                         descriptor.name,
-                        f"context '{descriptor.name}' produced an invalid meta "
-                        f"symbol: {symbol!r}",
-                    )
-            snapshot[descriptor.name] = metas
-        if memo is not None and memo[0] is store and memo[2] == snapshot:
-            frozen = memo[2]
-        else:
-            frozen = types.MappingProxyType(snapshot)
-        self._memo[module] = (store, epoch, frozen)
-        return frozen, epoch
+                        f"context '{descriptor.name}' failed to evaluate: {exc}",
+                    ) from exc
+                for symbol in metas:
+                    if not isinstance(symbol, str) or not _META_SYMBOL_RE.match(symbol):
+                        raise ContextEvaluationError(
+                            descriptor.name,
+                            f"context '{descriptor.name}' produced an invalid meta "
+                            f"symbol: {symbol!r}",
+                        )
+                snapshot[descriptor.name] = metas
+            if memo is None or memo[0] is not store or memo[2] != snapshot:
+                memo = (store, epoch, types.MappingProxyType(snapshot), {})
+            # a meta-neutral write keeps the snapshot object and its views
+            memo = self._memo[module] = (store, epoch, memo[2], memo[3])
+        if only is None:
+            return memo[2], memo[1]
+        views = memo[3]
+        if only not in views:
+            views[only] = types.MappingProxyType(
+                {name: metas for name, metas in memo[2].items() if name in only}
+            )
+        return views[only], memo[1]
 
 
 # --- concrete-value ingestion (CLI --set flags and feed files) -------------

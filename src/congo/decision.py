@@ -7,6 +7,8 @@ the decision maker (direct dispatch).  Both transports share one decide
 step, :func:`decide_or_fail`, so a reply is either a
 :class:`DecisionResponse` (an ordered chain of variant ids, outermost
 first) or a :class:`DecisionFailure`, whichever way it travelled.
+:func:`validate_response` turns either into the variants to run or the
+error to raise.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import itertools
 import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .bus import MessageBus, Subscription, Topic
@@ -25,7 +26,7 @@ from .errors import (
     StackOverflowError,
     UnknownDecisionMakerError,
 )
-from .lowering import Variant, VariantId, VariantSpec
+from .lowering import DispatchData, Variant, VariantId, VariantSpec
 
 log = logging.getLogger("congo.decision")
 
@@ -86,8 +87,8 @@ class DecisionFailure:
 class DecisionMaker(ABC):
     """Pluggable chain-selection policy.
 
-    ``init`` and ``train`` are lifecycle hooks; the default policy needs
-    neither but third-party implementations (e.g. learned policies) do.
+    ``init`` gets the store and module name once, when a runtime or
+    ``decisionMaker(...)`` sets the maker up; the default policy ignores it.
     """
 
     def init(self, config: Mapping) -> None:
@@ -97,12 +98,8 @@ class DecisionMaker(ABC):
     def decide(self, request: InvocationRequest) -> DecisionResponse:
         ...
 
-    def train(self, feedback: object) -> None:
-        pass
-
 
 _NO_METAS: frozenset = frozenset()
-_NO_CHAINS: Mapping = MappingProxyType({})
 _VARIANT_ID = itertools.repeat(VariantId)  # isinstance's second argument, for map()
 
 
@@ -123,16 +120,15 @@ class DefaultDecisionMaker(DecisionMaker):
     decided under the snapshots sent since then.  A sent snapshot must not
     change (the interpreter's are read-only).  Failures are not memoised.
     Other makers have no memo: each decided call calls them.
+
+    A maker shared by runtimes whose stores stand at different epochs stays
+    correct, but decides anew on every call: each miss drops the others' memo.
     """
 
     def __init__(self) -> None:
-        self._config: Dict = {}
         # (epoch, {(id(snapshot), id(variants)): (snapshot, variants, chain)}); for
         # threads sharing a maker, read via one local and replaced in one store
         self._memo: Tuple[object, Dict] = (None, {})
-
-    def init(self, config: Mapping) -> None:
-        self._config = dict(config)
 
     def decide(self, request: InvocationRequest) -> DecisionResponse:
         snapshot, variants = request.meta_snapshot, request.variants
@@ -179,9 +175,6 @@ class CountingDecisionMaker(DecisionMaker):
         self.decisions += 1
         self.seen.append((request.module, request.function_name, request.receiver_id))
         return self.inner.decide(request)
-
-    def train(self, feedback: object) -> None:
-        self.inner.train(feedback)
 
 
 def decide_or_fail(dm: DecisionMaker, request: InvocationRequest) -> object:
@@ -232,41 +225,50 @@ def failure_to_error(
 
 
 def validate_response(
-    request: InvocationRequest, response: DecisionResponse, span=None, validated=_NO_CHAINS
-) -> Optional[Tuple[Variant, ...]]:
-    """Check the chain-legality invariants; raise DecisionFailedError if broken.
+    request: InvocationRequest, reply: object, span, data: DispatchData
+) -> Tuple[Variant, ...]:
+    """The variants ``reply`` names, outermost first, or the error it means.
 
-    ``validated`` maps chains of the request's table that passed before to
-    their variants, which are returned; other chains get the full check.
+    The one place a reply is checked: anything but a legal chain of ``data``'s
+    table raises.  A legal chain is stored in ``data.chains`` and found there
+    afterwards, but only once its type passed: a plain tuple equals a
+    :class:`VariantId` with the same fields.
     """
-    if response.request_id != request.request_id:
+    if not isinstance(reply, DecisionResponse):
+        if isinstance(reply, DecisionFailure):
+            raise failure_to_error(reply, request.module, request.function_name, span)
         raise DecisionFailedError(
-            f"decision response id {response.request_id} does not match "
+            f"unexpected decision reply: {type(reply).__name__}", span
+        )
+    if reply.request_id != request.request_id:
+        raise DecisionFailedError(
+            f"decision response id {reply.request_id} does not match "
             f"request {request.request_id}",
             span,
         )
-    chain = response.chain
+    chain = reply.chain
     if type(chain) is not tuple or not all(map(isinstance, chain, _VARIANT_ID)):
         raise DecisionFailedError(
             f"decision chain must be a tuple of variant ids, got {chain!r}", span
         )
     if not chain:
         raise DecisionFailedError("decision maker returned an empty chain", span)
-    variants = validated.get(chain)
+    variants = data.chains.get(chain)
     if variants is not None:
         return variants
-    is_base = {spec.variant_id: not spec.constraints for spec in request.variants}
+    variants = tuple(map(data.by_id.get, chain))
     last = len(chain) - 1
-    for i, variant_id in enumerate(chain):
-        base = is_base.get(variant_id)
-        if base is None:
+    for i, variant in enumerate(variants):
+        if variant is None:
             raise DecisionFailedError(
-                f"decision chain names unknown variant {variant_id!r}", span
+                f"decision chain names unknown variant {chain[i]!r}", span
             )
-        if base and i != last:
+        if not variant.constraints and i != last:  # () marks the base
             raise DecisionFailedError(
                 "the base variant may only appear as the last chain element", span
             )
+    data.chains[chain] = variants
+    return variants
 
 
 # --- registry for named decision makers (CLI and source-level lookup) ------

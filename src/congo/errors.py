@@ -105,6 +105,10 @@ class FeedError(CongoError):
     kind = "Feed"
 
 
+class ReadError(CongoError):
+    kind = "Io"
+
+
 # --- messaging ----------------------------------------------------------
 
 

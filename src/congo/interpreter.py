@@ -25,11 +25,10 @@ import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import nodes
-from .bus import MessageBus
+from .bus import DEFAULT_REPLY_TIMEOUT, MessageBus
 from .context import (
     ConcreteValueStore,
     ContextChanged,
@@ -38,15 +37,12 @@ from .context import (
     is_scalar,
 )
 from .decision import (
-    DecisionFailure,
     DecisionMaker,
-    DecisionResponse,
     InvocationRequest,
     attach_decision_maker,
     context_changed_topic,
     create_decision_maker,
     decide_or_fail,
-    failure_to_error,
     reply_topic_for,
     request_topic_for,
     validate_response,
@@ -57,7 +53,6 @@ from .errors import (
     CongoRuntimeError,
     CongoTypeError,
     ContextEvaluationError,
-    DecisionFailedError,
     DecisionTimeoutError,
     DivisionByZeroError,
     MissingBaseError,
@@ -87,7 +82,7 @@ class RunConfig:
     dispatch_mode: DispatchMode = DispatchMode.EVENT
     cache_policy: CachePolicy = CachePolicy.NONE
     decision_maker: Union[str, DecisionMaker] = "default"
-    decision_timeout: float = 5.0
+    decision_timeout: float = DEFAULT_REPLY_TIMEOUT
     # (context, key, value) triples applied to the store before the run
     initial_values: Tuple = ()
     trace: Optional[Callable[[str], None]] = None
@@ -273,9 +268,6 @@ class Interpreter:
         self._sites: Dict[Union[int, str], CallSite] = {}
         self._request_ids = itertools.count(1)
         self._request_topic = request_topic_for(lowered.name)
-        # contexts(...) override -> (snapshot, read-only filtered view): one
-        # object per pair, as the default decision maker's memo needs
-        self._filtered: Dict[Tuple[str, ...], Tuple[Mapping, Mapping]] = {}
         # One entry per running ConGo function: (name, call span, the rest
         # of the chain proceed() runs next or None outside a dispatch, the
         # arguments a bare proceed() re-sends, the receiver).
@@ -379,22 +371,14 @@ class Interpreter:
                 span,
             )
         try:
-            snapshot, epoch = self._context_manager.snapshot_meta(
-                self._lowered.name, self._store
-            )
-            dm = self._global_dm
+            dm, only = self._global_dm, None
             if receiver is not None:
-                override = receiver.contexts_override
-                if override is not None:
-                    cached = self._filtered.get(override)
-                    if cached is None or cached[0] is not snapshot:
-                        cached = self._filtered[override] = (snapshot, MappingProxyType({
-                            name: metas for name, metas in snapshot.items()
-                            if name in override
-                        }))
-                    snapshot = cached[1]
+                only = receiver.contexts_override
                 if receiver.decision_maker is not None:
                     dm = receiver.decision_maker
+            snapshot, epoch = self._context_manager.snapshot_meta(
+                self._lowered.name, self._store, only
+            )
             request_id = next(self._request_ids)
             event = self._config.dispatch_mode is DispatchMode.EVENT
             request = InvocationRequest(
@@ -422,16 +406,7 @@ class Interpreter:
             if exc.span is None:
                 exc.span = span
             raise
-        if isinstance(reply, DecisionFailure):
-            raise failure_to_error(reply, request.module, request.function_name, span)
-        if not isinstance(reply, DecisionResponse):
-            raise DecisionFailedError(
-                f"unexpected decision reply: {type(reply).__name__}", span
-            )
-        chain = validate_response(request, reply, span, data.chains)
-        if chain is None:  # first time this chain passed for this table
-            chain = tuple(map(data.by_id.__getitem__, reply.chain))
-            data.chains[reply.chain] = chain
+        chain = validate_response(request, reply, span, data)
         if site is not None:
             site.chain, site.epoch, site.receiver = chain, epoch, receiver_key
         return self._invoke_variant(chain[0], receiver, args, chain[1:], span)

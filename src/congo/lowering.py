@@ -43,20 +43,10 @@ def mangle(name: str, constraints: Sequence[Tuple[str, str]]) -> str:
     return name + MANGLE_MARKER + "__".join(f"{ctx}_{meta}" for ctx, meta in pairs)
 
 
-@dataclass(frozen=True)
-class VariantId:
+class VariantId(NamedTuple):
+    # equal to a plain tuple of its fields: validate_response checks the type
     mangled_name: str
     declaration_index: int
-    # every decided call hashes its chain's ids; hash them once, here
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash((self.mangled_name, self.declaration_index))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True)
@@ -77,10 +67,6 @@ class Variant:
     arity: int
     # set by the runtime for object methods, which close over an environment
     closure_env: object = field(default=None, repr=False, compare=False)
-
-    @property
-    def is_base(self) -> bool:
-        return not self.constraints
 
 
 class DispatchData(NamedTuple):

@@ -389,7 +389,11 @@ class Parser:
 
 def parse(tokens: Sequence[Token]) -> nodes.ModuleAst:
     """Parse a token stream (as produced by :func:`congo.lexer.tokenize`)."""
-    return Parser(tokens).parse_module()
+    parser = Parser(tokens)
+    try:
+        return parser.parse_module()
+    except RecursionError:  # the descent recurses once per nesting level
+        raise ParseError("nesting too deep", parser._peek().span) from None
 
 
 def parse_source(source: str, file: str = "<string>") -> nodes.ModuleAst:

@@ -57,24 +57,53 @@ def test_runtime_errors_report_kind(tmp_path, capsys):
     assert "ERROR DivisionByZero at " in capsys.readouterr().err
 
 
-def test_deep_recursion_is_one_error_line(tmp_path):
-    # a subprocess, so that a traceback would reach stderr as a user sees it
-    src = (
-        "module m\n"
-        "function f = |n| { if n == 0 { return 0 } return 1 + f(n - 1) }\n"
-        "function main = || { println(f(5000)) }\n"
-    )
-    path = write(tmp_path, "deep.congo", src)
+def cli_error_line(*argv):
+    """The one stderr line of a ``congo`` subprocess that must fail.
+
+    A subprocess, so that a traceback would reach stderr as a user sees it.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(congo.__file__).parent.parent))
     proc = subprocess.run(
-        [sys.executable, "-m", "congo.cli", "run", path],
+        [sys.executable, "-m", "congo.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "Traceback" not in proc.stderr
-    assert lines[0].startswith(f"ERROR StackOverflow at {path}:")
+    return lines[0]
+
+
+def test_deep_recursion_is_one_error_line(tmp_path):
+    src = (
+        "module m\n"
+        "function f = |n| { if n == 0 { return 0 } return 1 + f(n - 1) }\n"
+        "function main = || { println(f(5000)) }\n"
+    )
+    path = write(tmp_path, "deep.congo", src)
+    assert cli_error_line("run", path).startswith(f"ERROR StackOverflow at {path}:")
+
+
+def test_deep_nesting_is_one_parse_error_line(tmp_path):
+    src = "module m\nfunction main = || -> " + "(" * 300 + "1" + ")" * 300 + "\n"
+    path = write(tmp_path, "nested.congo", src)
+    line = cli_error_line("run", path)
+    assert line.startswith(f"ERROR Parse at {path}:2:")
+    assert line.endswith(": nesting too deep")
+
+
+def test_undecodable_program_is_one_io_error_line(tmp_path):
+    path = tmp_path / "binary.congo"
+    path.write_bytes(b"module m\nfunction main = || -> 1 \xff\n")
+    line = cli_error_line("run", str(path))
+    assert line.startswith(f"ERROR Io: cannot read {path}: not UTF-8 text")
+
+
+def test_undecodable_feed_is_one_io_error_line(tmp_path):
+    feed = tmp_path / "binary.feed"
+    feed.write_bytes(b"Weather.rainfall_mm=\xff\n")
+    line = cli_error_line("run", write(tmp_path, "p.congo", LAYERED), "--feed", str(feed))
+    assert line.startswith(f"ERROR Io: cannot read {feed}: not UTF-8 text")
 
 
 # registers a descriptor that always raises, then runs the CLI on argv[1:]

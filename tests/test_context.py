@@ -294,6 +294,34 @@ def test_snapshot_object_is_kept_across_meta_neutral_writes(counting_manager):
     assert counting_manager.snapshot_meta("m", other)[0] is not high
 
 
+def test_narrowed_snapshot_is_one_view_per_snapshot_object(counting_manager):
+    counting_manager.register_module_contexts("m", ("Counting", "Weather"))
+    store = ConcreteValueStore()
+    store.set("Counting", "level", 1)
+    full, epoch = counting_manager.snapshot_meta("m", store)
+    low, low_epoch = counting_manager.snapshot_meta("m", store, ("Counting",))
+    assert (low, low_epoch) == ({"Counting": {"LOW"}}, epoch)
+    assert counting_manager.snapshot_meta("m", store, ("Counting",))[0] is low
+    with pytest.raises(TypeError):
+        low["Weather"] = frozenset({"CLEAR"})
+    store.set("Counting", "level", 2)  # still LOW
+    same, neutral_epoch = counting_manager.snapshot_meta("m", store, ("Counting",))
+    assert same is low
+    assert neutral_epoch == epoch + 1
+    store.set("Counting", "level", 9)
+    high, _ = counting_manager.snapshot_meta("m", store, ("Counting",))
+    assert high is not low
+    assert high == {"Counting": {"HIGH"}}
+    assert counting_manager.snapshot_meta("m", store, ("Weather",))[0] == {
+        "Weather": {"CLEAR"}
+    }
+    assert counting_manager.snapshot_meta("m", store)[0] == {
+        "Counting": {"HIGH"}, "Weather": {"CLEAR"}
+    }
+    assert full == {"Counting": {"LOW"}, "Weather": {"CLEAR"}}
+    assert _Counting.evaluations == 3
+
+
 def test_reregistration_resets_the_memo(counting_manager):
     store = ConcreteValueStore()
     store.set("Weather", "rainfall_mm", 7.0)

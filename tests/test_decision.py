@@ -32,9 +32,10 @@ from congo.errors import (
     DecisionFailedError,
     DecisionTimeoutError,
     NoApplicableVariantError,
+    StackOverflowError,
     UnknownDecisionMakerError,
 )
-from congo.lowering import VariantId, mangle
+from congo.lowering import VariantId, compile_source, mangle
 from congo.nodes import LayerMode
 
 
@@ -175,7 +176,6 @@ def test_response_echoes_request_id_and_epoch():
 def test_init_and_train_are_noops():
     dm = DefaultDecisionMaker()
     dm.init({"anything": 1})
-    dm.train({"reward": 1.0})  # accepted and ignored
     request = make_request([base_spec()], {})
     assert chain_names(dm.decide(request)) == ["f"]
 
@@ -419,58 +419,69 @@ def test_request_scoped_maker_wins_over_attached_one(bus):
 # --- response validation -------------------------------------------------------------
 
 
-def valid_pair():
-    request = make_request(
-        [base_spec(), layer_spec("f", [("C", "ON")], 1)], {"C": {"ON"}}
-    )
-    return request, DefaultDecisionMaker().decide(request)
+TABLE_SOURCE = (
+    "module m\n"
+    "contexts = [Weather()]\n"
+    "function f = |x| -> x\n"
+    "function f = |x| @(Weather=RAINY) -> proceed(x)\n"
+)
+
+
+def valid_case():
+    """A request for a real table, the default maker's reply, and the table's data."""
+    data = compile_source(TABLE_SOURCE).tables["f"].dispatch_data()
+    request = make_request(data.specs, {"Weather": {"RAINY"}})
+    return request, DefaultDecisionMaker().decide(request), data
 
 
 def test_validate_accepts_the_default_makers_output():
-    request, response = valid_pair()
-    validate_response(request, response)
+    request, response, data = valid_case()
+    layer, base = response.chain
+    variants = validate_response(request, response, None, data)
+    assert variants == (data.by_id[layer], data.by_id[base])
+    assert variants[-1].constraints == ()
 
 
 def test_validate_rejects_id_mismatch():
-    request, response = valid_pair()
+    request, response, data = valid_case()
     wrong = DecisionResponse(request.request_id + 1, response.chain, response.epoch)
-    with pytest.raises(DecisionFailedError):
-        validate_response(request, wrong)
+    with pytest.raises(DecisionFailedError, match="does not match"):
+        validate_response(request, wrong, None, data)
 
 
 def test_validate_rejects_empty_chain():
-    request, response = valid_pair()
-    with pytest.raises(DecisionFailedError):
-        validate_response(request, DecisionResponse(request.request_id, (), 0))
+    request, response, data = valid_case()
+    with pytest.raises(DecisionFailedError, match="empty chain"):
+        validate_response(request, DecisionResponse(request.request_id, (), 0), None, data)
 
 
 def test_validate_rejects_foreign_variants():
-    request, response = valid_pair()
+    request, response, data = valid_case()
     foreign = DecisionResponse(
         request.request_id, (VariantId("stranger", 9),), response.epoch
     )
-    with pytest.raises(DecisionFailedError):
-        validate_response(request, foreign)
+    with pytest.raises(DecisionFailedError, match="unknown variant"):
+        validate_response(request, foreign, None, data)
 
 
 def test_validate_rejects_base_not_last():
-    request, response = valid_pair()
+    request, response, data = valid_case()
     flipped = DecisionResponse(
         request.request_id, tuple(reversed(response.chain)), response.epoch
     )
-    with pytest.raises(DecisionFailedError):
-        validate_response(request, flipped)
+    with pytest.raises(DecisionFailedError, match="last chain element"):
+        validate_response(request, flipped, None, data)
 
 
 def test_validate_rejects_duplicate_base():
-    request, response = valid_pair()
+    request, response, data = valid_case()
     doubled = DecisionResponse(
         request.request_id,
         (response.chain[-1], response.chain[-1]),
         response.epoch,
     )
-    with pytest.raises(DecisionFailedError):
-        validate_response(request, doubled)
+    with pytest.raises(DecisionFailedError, match="last chain element"):
+        validate_response(request, doubled, None, data)
 
 
 def _malformed_chains(good):
@@ -479,40 +490,79 @@ def _malformed_chains(good):
         "unhashable-element": ([1], good[-1]),
         "non-sequence": 5,
         "non-variant-id-element": (good[0], "f"),
+        # equal to, and hashed like, ``good``: only the type check keeps it out
+        "plain-tuple-elements": tuple(tuple(v) for v in good),
     }
 
 
 @pytest.mark.parametrize(
-    "shape", ["list", "unhashable-element", "non-sequence", "non-variant-id-element"]
+    "shape",
+    [
+        "list",
+        "unhashable-element",
+        "non-sequence",
+        "non-variant-id-element",
+        "plain-tuple-elements",
+    ],
 )
 def test_validate_rejects_malformed_chains(shape):
-    request, response = valid_pair()
+    request, response, data = valid_case()
     chain = _malformed_chains(response.chain)[shape]
     bad = DecisionResponse(request.request_id, chain, response.epoch)
-    for validated in ({}, {response.chain: ("resolved",)}):
-        with pytest.raises(DecisionFailedError, match="tuple of variant ids"):
-            validate_response(request, bad, None, validated)
+    with pytest.raises(DecisionFailedError, match="tuple of variant ids"):
+        validate_response(request, bad, None, data)
+    validate_response(request, response, None, data)  # caches the good chain
+    if shape == "plain-tuple-elements":
+        assert chain in data.chains
+    with pytest.raises(DecisionFailedError, match="tuple of variant ids"):
+        validate_response(request, bad, None, data)
 
 
 def test_validated_chains_skip_the_check_but_admit_no_illegal_chain():
-    request, response = valid_pair()
-    validated = {}
-    assert validate_response(request, response, None, validated) is None
-    validated[response.chain] = ("resolved",)
-    assert validate_response(request, response, None, validated) == ("resolved",)
+    request, response, data = valid_case()
+    assert data.chains == {}
+    variants = validate_response(request, response, None, data)
+    assert data.chains == {response.chain: variants}
+    assert validate_response(request, response, None, data) is variants
     layer, base = response.chain
     for chain in ((base, layer), (base, base), (layer, VariantId("stranger", 9))):
         with pytest.raises(DecisionFailedError):
             validate_response(
-                request, DecisionResponse(request.request_id, chain, 0), None, validated
+                request, DecisionResponse(request.request_id, chain, 0), None, data
             )
     with pytest.raises(DecisionFailedError, match="does not match"):
         validate_response(
             request,
             DecisionResponse(request.request_id + 1, response.chain, 0),
             None,
-            validated,
+            data,
         )
+    assert data.chains == {response.chain: variants}
+
+
+@pytest.mark.parametrize(
+    "kind,error",
+    [
+        ("no-applicable-variant", NoApplicableVariantError),
+        ("stack-overflow", StackOverflowError),
+        ("decision-failed", DecisionFailedError),
+    ],
+)
+def test_validate_maps_a_failure_to_its_error(kind, error):
+    request, _, data = valid_case()
+    span = object()
+    failure = DecisionFailure(request.request_id, kind, "model offline")
+    with pytest.raises(error) as err:
+        validate_response(request, failure, span, data)
+    assert err.value.span is span
+    assert data.chains == {}
+
+
+@pytest.mark.parametrize("reply", [None, "f", (VariantId("f", 0),)])
+def test_validate_rejects_an_unexpected_reply(reply):
+    request, _, data = valid_case()
+    with pytest.raises(DecisionFailedError, match="unexpected decision reply"):
+        validate_response(request, reply, None, data)
 
 
 # --- registry -------------------------------------------------------------------------

@@ -1148,6 +1148,14 @@ def test_crashing_maker_surfaces_decision_failed(mode):
     assert (span.line, span.column) == (5, 24)
 
 
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_non_response_reply_is_a_decision_failure_at_the_call(mode):
+    with pytest.raises(DecisionFailedError, match="decision reply: NoneType") as err:
+        run_program(LAYERED, mode=mode, decision_maker=_Silent(), **contextual_args())
+    span = err.value.span  # the call f(d) in main
+    assert (span.line, span.column) == (5, 24)
+
+
 @pytest.mark.parametrize(
     "mode, maker",
     [
@@ -1279,13 +1287,21 @@ class _Malformed(DecisionMaker):
             "unhashable-element": ([1], good.chain[-1]),
             "non-sequence": 5,
             "non-variant-id-element": (good.chain[0], "f"),
+            "plain-tuple-elements": tuple(tuple(v) for v in good.chain),
         }[self.shape]
         return DecisionResponse(good.request_id, chain, good.epoch)
 
 
 @pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
 @pytest.mark.parametrize(
-    "shape", ["list", "unhashable-element", "non-sequence", "non-variant-id-element"]
+    "shape",
+    [
+        "list",
+        "unhashable-element",
+        "non-sequence",
+        "non-variant-id-element",
+        "plain-tuple-elements",
+    ],
 )
 def test_malformed_chain_is_a_decision_failure(mode, shape):
     with pytest.raises(DecisionFailedError, match="tuple of variant ids") as err:

@@ -231,6 +231,14 @@ def test_method_colon_cannot_start_a_line():
     assert (err.value.span.line, err.value.span.column) == (4, 3)
 
 
+@pytest.mark.parametrize("body, open_, close", [("-> ", "(", ")"), ("", "{ ", " }")])
+def test_nesting_deeper_than_the_stack_is_a_parse_error(body, open_, close):
+    src = f"module m\nfunction f = || {body}" + open_ * 2000 + "1" + close * 2000 + "\n"
+    with pytest.raises(ParseError, match="nesting too deep") as err:
+        parse_source(src)
+    assert err.value.span.line == 2
+
+
 # --- round-trips -----------------------------------------------------------
 
 
