@@ -21,7 +21,7 @@ import logging
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .errors import BusClosedError, DecisionTimeoutError, ReentrantDispatchError
 
@@ -64,8 +64,7 @@ class Topic:
         return "/".join(self.segments)
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     topic: Topic
     payload: object
     publish_seq: int

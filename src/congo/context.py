@@ -14,8 +14,9 @@ import re
 import threading
 import types
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union
+)
 
 from .errors import ContextEvaluationError, FeedError, UnknownContextCtorError
 
@@ -140,8 +141,7 @@ register_context("Weather", WeatherContext)
 register_context("Battery", BatteryContext)
 
 
-@dataclass(frozen=True)
-class ContextChanged:
+class ContextChanged(NamedTuple):
     """Bus payload published whenever a concrete value is written."""
 
     context: str

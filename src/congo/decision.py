@@ -8,7 +8,8 @@ step, :func:`decide_or_fail`, so a reply is either a
 :class:`DecisionResponse` (an ordered chain of variant ids, outermost
 first) or a :class:`DecisionFailure`, whichever way it travelled.
 :func:`validate_response` turns either into the variants to run or the
-error to raise.
+error to raise.  Requests and replies are named tuples, recognised by
+type: a plain tuple with equal fields is not a reply.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 import itertools
 import logging
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .bus import MessageBus, Subscription, Topic
 from .errors import (
@@ -51,8 +51,7 @@ def context_changed_topic(context: str) -> Topic:
     return Topic(("congo", "context", "changed", context))
 
 
-@dataclass(frozen=True)
-class InvocationRequest:
+class InvocationRequest(NamedTuple):
     request_id: int
     module: str
     function_name: str
@@ -68,15 +67,13 @@ class InvocationRequest:
     decision_maker: Optional["DecisionMaker"] = None
 
 
-@dataclass(frozen=True)
-class DecisionResponse:
+class DecisionResponse(NamedTuple):
     request_id: int
     chain: Tuple[VariantId, ...]  # outermost first; base, if present, last
     epoch: int
 
 
-@dataclass(frozen=True)
-class DecisionFailure:
+class DecisionFailure(NamedTuple):
     """Error reply published when a decision maker raises."""
 
     request_id: int

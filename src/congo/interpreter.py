@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
+import traceback
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import nodes
-from .bus import DEFAULT_REPLY_TIMEOUT, MessageBus
+from .bus import DEFAULT_REPLY_TIMEOUT, MessageBus, Topic
 from .context import (
     ConcreteValueStore,
     ContextChanged,
@@ -268,6 +270,7 @@ class Interpreter:
         self._sites: Dict[Union[int, str], CallSite] = {}
         self._request_ids = itertools.count(1)
         self._request_topic = request_topic_for(lowered.name)
+        self._changed_topics: Dict[str, Topic] = {}  # context -> its changed topic
         # One entry per running ConGo function: (name, call span, the rest
         # of the chain proceed() runs next or None outside a dispatch, the
         # arguments a bare proceed() re-sends, the receiver).
@@ -382,16 +385,16 @@ class Interpreter:
             request_id = next(self._request_ids)
             event = self._config.dispatch_mode is DispatchMode.EVENT
             request = InvocationRequest(
-                request_id=request_id,
-                module=self._lowered.name,
-                function_name=table.function_name,
-                arity=data.arity,
-                variants=data.specs,
-                receiver_id=receiver.identity if receiver is not None else None,
-                meta_snapshot=snapshot,
-                snapshot_epoch=epoch,
-                reply_topic=reply_topic_for(request_id) if event else None,
-                decision_maker=dm,
+                request_id,
+                self._lowered.name,
+                table.function_name,
+                data.arity,
+                data.specs,
+                receiver.identity if receiver is not None else None,
+                snapshot,
+                epoch,
+                reply_topic_for(request_id) if event else None,
+                dm,
             )
             if event:
                 reply = self._bus.request_reply(
@@ -451,7 +454,7 @@ class Interpreter:
         try:
             code = lam.code
             if code is None:  # first call: compile once, for every runtime
-                code = lam.code = _compile_body(lam.body)
+                code = lam.code = _compile_lambda(lam)
             return code(self, Environment(closure_env, bindings))
         except CongoRuntimeError as exc:
             if exc.call_stack is None:
@@ -493,10 +496,10 @@ class Interpreter:
             )
         epoch = self._store.set(context, key, value)
         if not self._bus.closed:
-            self._bus.publish(
-                context_changed_topic(context),
-                ContextChanged(context, key, value, epoch),
-            )
+            topic = self._changed_topics.get(context)
+            if topic is None:
+                topic = self._changed_topics[context] = context_changed_topic(context)
+            self._bus.publish(topic, ContextChanged(context, key, value, epoch))
         return None
 
     def _builtin_current_meta(self, args: Tuple, span) -> Value:
@@ -544,6 +547,19 @@ class Interpreter:
 # to fall through to the next statement, or the value of a ``return``.
 
 _NEXT = object()
+
+
+def _compile_lambda(lam: nodes.Lambda) -> Callable:
+    """Compile ``lam``'s body; a body nested too deep is a StackOverflowError."""
+    try:
+        return _compile_body(lam.body)
+    except RecursionError as exc:
+        # The compiler recurses once per nesting level.  Unless it used most of
+        # the stack itself, the calls that led here did: _invoke reports those.
+        compiler_frames = sum(1 for _ in traceback.walk_tb(exc.__traceback__))
+        if compiler_frames < sys.getrecursionlimit() // 2:
+            raise
+    raise StackOverflowError("block nesting too deep to compile", lam.span)
 
 
 def _compile_body(body: Union[nodes.Block, nodes.Expr]) -> Callable:

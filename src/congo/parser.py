@@ -287,34 +287,30 @@ class Parser:
 
     # --- expressions -----------------------------------------------------------
 
-    _BINARY_LEVELS: Tuple[Tuple[str, ...], ...] = (
-        ("||",),
-        ("&&",),
-        ("==", "!="),
-        ("<", "<=", ">", ">="),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
+    # binding strength of each infix operator, loosest first; all are left-associative
+    _PRECEDENCE = {
+        "||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, "<=": 3, ">": 3, ">=": 3,
+        "+": 4, "-": 4, "*": 5, "/": 5, "%": 5,
+    }
 
-    def _expression(self) -> nodes.Expr:
-        return self._binary(0)
-
-    def _binary(self, level: int) -> nodes.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._unary()
-        ops = self._BINARY_LEVELS[level]
-        left = self._binary(level + 1)
-        while (
-            self._peek().kind is TokenKind.PUNCT
-            and self._peek().text in ops
-            # an operator continues the expression only from the operand's
-            # line; break after an operator, never before one
-            and self._peek().span.line == self._prev().span.line
-        ):
-            op_tok = self._advance()
-            right = self._binary(level + 1)
-            left = nodes.BinaryOp(op_tok.text, left, right, op_tok.span)
-        return left
+    def _expression(self, min_level: int = 0) -> nodes.Expr:
+        """Precedence climbing: one loop covers every level, so a nested operand costs
+        one frame, not one per level."""
+        left = self._unary()
+        while True:
+            tok = self._peek()
+            level = self._PRECEDENCE.get(tok.text) if tok.kind is TokenKind.PUNCT else None
+            if (
+                level is None
+                or level < min_level
+                # an operator continues the expression only from the operand's
+                # line; break after an operator, never before one
+                or tok.span.line != self._prev().span.line
+            ):
+                return left
+            self._advance()
+            right = self._expression(level + 1)
+            left = nodes.BinaryOp(tok.text, left, right, tok.span)
 
     def _unary(self) -> nodes.Expr:
         if self._at_punct("-"):

@@ -92,6 +92,13 @@ def test_deep_nesting_is_one_parse_error_line(tmp_path):
     assert line.endswith(": nesting too deep")
 
 
+def test_blocks_too_deep_to_compile_are_one_error_line(tmp_path):
+    src = "module m\nfunction main = || " + "{ " * 400 + "println(1)" + " }" * 400 + "\n"
+    path = write(tmp_path, "blocks.congo", src)
+    line = cli_error_line("run", path)
+    assert line == f"ERROR StackOverflow at {path}:2:17: block nesting too deep to compile"
+
+
 def test_undecodable_program_is_one_io_error_line(tmp_path):
     path = tmp_path / "binary.congo"
     path.write_bytes(b"module m\nfunction main = || -> 1 \xff\n")

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import threading
 
@@ -8,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congo.bus import MessageBus, Topic
+from congo.bus import Message, MessageBus, Topic
+from congo.context import ContextChanged
 from congo.decision import (
     CountingDecisionMaker,
     DecisionFailure,
@@ -262,8 +262,7 @@ class _MissCounting(DefaultDecisionMaker):
 
 
 def _request_with(variants, snapshot, epoch, request_id=1):
-    return dataclasses.replace(
-        make_request(variants, {}, request_id=request_id),
+    return make_request(variants, {}, request_id=request_id)._replace(
         meta_snapshot=snapshot,
         snapshot_epoch=epoch,
     )
@@ -373,7 +372,7 @@ def test_attached_maker_reports_no_applicable_variant(bus):
 
 def test_request_without_reply_topic_does_not_kill_the_dispatcher(bus):
     attach_decision_maker(bus, DefaultDecisionMaker())
-    stray = dataclasses.replace(make_request([base_spec()], {}), reply_topic=None)
+    stray = make_request([base_spec()], {})._replace(reply_topic=None)
     bus.publish(request_topic_for(stray.module), stray)
     request = make_request([base_spec()], {}, request_id=2)
     reply = bus.request_reply(
@@ -408,7 +407,7 @@ def test_request_scoped_maker_wins_over_attached_one(bus):
     per_object = CountingDecisionMaker(DefaultDecisionMaker())
     attach_decision_maker(bus, global_dm)
     base = make_request([base_spec()], {})
-    request = dataclasses.replace(base, decision_maker=per_object)
+    request = base._replace(decision_maker=per_object)
     bus.request_reply(
         request_topic_for(request.module), request, request.reply_topic, timeout=5.0
     )
@@ -563,6 +562,23 @@ def test_validate_rejects_an_unexpected_reply(reply):
     request, _, data = valid_case()
     with pytest.raises(DecisionFailedError, match="unexpected decision reply"):
         validate_response(request, reply, None, data)
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (make_request([base_spec()], {}), "variants"),
+        (DecisionResponse(1, (VariantId("f", 0),), 0), "chain"),
+        (DecisionFailure(1, "decision-failed", "boom"), "kind"),
+        (Message(reply_topic_for(1), None, 1), "payload"),
+        (ContextChanged("Weather", "rainfall_mm", 7.0, 1), "value"),
+    ],
+    ids=lambda v: type(v).__name__ if not isinstance(v, str) else v,
+)
+def test_dispatch_values_are_immutable(value, field):
+    # the default maker's memo relies on a sent request not changing
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
 
 
 # --- registry -------------------------------------------------------------------------

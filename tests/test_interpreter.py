@@ -390,6 +390,31 @@ def test_deep_recursion_is_a_stack_overflow_error(mode):
     assert set(names[1:]) == {"f"}
 
 
+CALLS_THEN_COMPILE = (
+    "module m\n"
+    "function g = || { { { { { return 2 } } } } }\n"
+    "function f = |n| { if n == 0 { return g() } return 1 + f(n - 1) }\n"
+)
+
+
+def test_compile_that_runs_out_of_stack_under_deep_calls_blames_the_calls():
+    # g is compiled on its first call, at the bottom of f's recursion; across
+    # these depths the stack runs out inside that compile at least once
+    compile_failures = 0
+    for depth in range(100, 220):
+        lowered = compile_source(CALLS_THEN_COMPILE, file="<test>")
+        try:
+            run(lowered, entry="f", args=(depth,),
+                config=RunConfig(dispatch_mode=DispatchMode.DIRECT))
+        except StackOverflowError as err:
+            assert err.message.startswith("stack exhausted after"), err.message
+            compile_failures += (
+                err.call_stack[-1][0] == "g"
+                and lowered.tables["g"].base.body.code is None
+            )
+    assert compile_failures
+
+
 def test_entry_with_arguments():
     src = "module m\nfunction double = |x| -> x * 2\n"
     assert run_program(src, entry="double", args=(21,))[0] == 42
@@ -1125,6 +1150,15 @@ class _Silent(DecisionMaker):
         return None
 
 
+class _PlainTuple(DecisionMaker):
+    """Returns a plain tuple equal to the default maker's (valid) reply."""
+
+    def decide(self, request):
+        good = DefaultDecisionMaker().decide(request)
+        assert tuple(good) == good
+        return tuple(good)
+
+
 class _Scrambling(DecisionMaker):
     """Returns the right variants in an illegal order."""
 
@@ -1152,6 +1186,15 @@ def test_crashing_maker_surfaces_decision_failed(mode):
 def test_non_response_reply_is_a_decision_failure_at_the_call(mode):
     with pytest.raises(DecisionFailedError, match="decision reply: NoneType") as err:
         run_program(LAYERED, mode=mode, decision_maker=_Silent(), **contextual_args())
+    span = err.value.span  # the call f(d) in main
+    assert (span.line, span.column) == (5, 24)
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_plain_tuple_reply_is_a_decision_failure_at_the_call(mode):
+    # equal to a valid DecisionResponse, so only the type check can stop it
+    with pytest.raises(DecisionFailedError, match="decision reply: tuple") as err:
+        run_program(LAYERED, mode=mode, decision_maker=_PlainTuple(), **contextual_args())
     span = err.value.span  # the call f(d) in main
     assert (span.line, span.column) == (5, 24)
 

@@ -231,6 +231,15 @@ def test_method_colon_cannot_start_a_line():
     assert (err.value.span.line, err.value.span.column) == (4, 3)
 
 
+def test_120_nested_parenthesised_operations_parse():
+    src = "module m\nfunction f = || -> " + "(1 + " * 120 + "1" + ")" * 120 + "\n"
+    expr, depth = parse_source(src).decls[0].fn.body, 0
+    while isinstance(expr, N.BinaryOp):
+        assert expr.op == "+" and expr.left == N.IntLit(1, expr.left.span)
+        expr, depth = expr.right, depth + 1
+    assert depth == 120 and expr.value == 1
+
+
 @pytest.mark.parametrize("body, open_, close", [("-> ", "(", ")"), ("", "{ ", " }")])
 def test_nesting_deeper_than_the_stack_is_a_parse_error(body, open_, close):
     src = f"module m\nfunction f = || {body}" + open_ * 2000 + "1" + close * 2000 + "\n"
