@@ -154,7 +154,7 @@ class CallSite:
         self.receiver: Optional[Tuple[int, int]] = None  # (identity, version)
 
 
-def stringify(value: Value) -> str:
+def stringify(value: Value, span) -> str:
     if value is None:
         return "null"
     if value is True:
@@ -162,7 +162,13 @@ def stringify(value: Value) -> str:
     if value is False:
         return "false"
     if isinstance(value, (int, float)):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # past Python's int-to-text digit limit
+            raise CongoRuntimeError(
+                f"integer has more than {sys.get_int_max_str_digits()} digits to print",
+                span,
+            ) from None
     if isinstance(value, str):
         return value
     if isinstance(value, FunctionValue):
@@ -196,7 +202,7 @@ def _apply_binary(op: str, left: Value, right: Value, span) -> Value:
         return not _values_equal(left, right)
     if op == "+":
         if isinstance(left, str) or isinstance(right, str):
-            return stringify(left) + stringify(right)
+            return stringify(left, span) + stringify(right, span)
         if is_number(left) and is_number(right):
             return left + right
         raise CongoTypeError(
@@ -206,7 +212,7 @@ def _apply_binary(op: str, left: Value, right: Value, span) -> Value:
         if not (is_number(left) and is_number(right)):
             raise CongoTypeError(
                 f"'{op}' needs numeric operands, got "
-                f"{stringify(left)!r} and {stringify(right)!r}", span
+                f"{stringify(left, span)!r} and {stringify(right, span)!r}", span
             )
         if op == "-":
             return left - right
@@ -239,7 +245,7 @@ def _apply_binary(op: str, left: Value, right: Value, span) -> Value:
 
 
 def _not_bool(what: str, value: Value, span) -> CongoTypeError:
-    return CongoTypeError(f"{what} must be a boolean, got {stringify(value)!r}", span)
+    return CongoTypeError(f"{what} must be a boolean, got {stringify(value, span)!r}", span)
 
 
 # the (name, span) pair of a call-stack entry, read without a Python frame
@@ -265,7 +271,7 @@ class Interpreter:
         self._global_dm = global_dm
         self._config = config
         self._println = config.println or (lambda text: print(text))
-        # keyed by the site id lower() gave the call node, or by function
+        # keyed by the site id of the call node, or by function
         # name for calls from the host
         self._sites: Dict[Union[int, str], CallSite] = {}
         self._request_ids = itertools.count(1)
@@ -476,7 +482,7 @@ class Interpreter:
     def _builtin_println(self, args: Tuple, span) -> Value:
         if len(args) != 1:
             raise CallArityError("println expects 1 argument", span)
-        self._println(stringify(args[0]))
+        self._println(stringify(args[0], span))
         return None
 
     def _builtin_dynamic_object(self, args: Tuple, span) -> Value:
@@ -494,11 +500,17 @@ class Interpreter:
             raise CongoTypeError(
                 "setConcrete value must be a boolean, number, or string", span
             )
+        topic = self._changed_topics.get(context)
+        if topic is None:
+            try:
+                topic = context_changed_topic(context)
+            except ValueError:
+                raise CongoTypeError(
+                    f"setConcrete context name {context!r} cannot name a bus topic", span
+                ) from None
+            self._changed_topics[context] = topic
         epoch = self._store.set(context, key, value)
         if not self._bus.closed:
-            topic = self._changed_topics.get(context)
-            if topic is None:
-                topic = self._changed_topics[context] = context_changed_topic(context)
             self._bus.publish(topic, ContextChanged(context, key, value, epoch))
         return None
 
@@ -728,7 +740,7 @@ def _compile_method(expr: nodes.MethodCall) -> Callable:
         receiver, values = receiver_of(interp, env), args(interp, env)
         if not isinstance(receiver, DynObject):
             raise CongoTypeError(
-                f"method call '{name}' on non-object value {stringify(receiver)!r}",
+                f"method call '{name}' on non-object value {stringify(receiver, span)!r}",
                 span,
             )
         if builtin is not None:

@@ -1,16 +1,20 @@
 """Lexer for ConGo source text.
 
-Comments run from ``#`` to end of line.  The layer-marker sequences
-``@(``, ``)+`` and ``|+@(`` are emitted as ordinary token runs (``@(`` is
-one token, the plus signs separate tokens) and disambiguated by the
-parser from their position.
+One token table drives the scan: a single pattern with one named group
+per token class, applied to each line in turn, as in Lex.  Comments run
+from ``#`` to end of line.  The layer-marker sequences ``@(``, ``)+`` and
+``|+@(`` are emitted as ordinary token runs (``@(`` is one token, the
+plus signs separate tokens) and disambiguated by the parser from their
+position.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import List
 
 from .errors import LexError
 from .nodes import SourceSpan
@@ -36,7 +40,21 @@ KEYWORDS = frozenset({
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
-_SINGLE_PUNCT = set("=<>+-*/%()[]{},|:.")
+# Tried left to right at each position; spaces, tabs and carriage returns
+# between tokens match no group and are skipped.  Numbers are ASCII
+# digits only.  A string runs to its closing quote or, when it has none,
+# to the end of the line: ``close`` is then empty.
+_TOKEN = re.compile(r"""
+      (?P<float>   [0-9]+ \. [0-9]+ )
+    | (?P<int>     [0-9]+ )
+    | (?P<name>    [A-Za-z_] [A-Za-z0-9_]* )
+    | (?P<string>  " (?P<body> (?: [^"\\] | \\. )* ) (?P<close> "? ) )
+    | (?P<punct>   @\( | -> | == | != | <= | >= | \|\| | && | [-=<>+*/%()\[\]{},|:.] )
+    | (?P<end>     \# .* | $ )
+    | (?P<bad>     [^ \t\r] )
+""", re.VERBOSE)
+
+_ESCAPE = re.compile(r"\\(.)")
 
 
 @dataclass(frozen=True)
@@ -50,138 +68,55 @@ class Token:
         return f"Token({self.kind.value}, {self.text!r}, {self.span.line}:{self.span.column})"
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isascii() and (c.isalpha() or c == "_")
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isascii() and (c.isalnum() or c == "_")
+def _decode(m: re.Match, span: SourceSpan) -> str:
+    """The value of a string token; ``span`` is its opening quote."""
+    body = m.group("body")
+    for esc in _ESCAPE.finditer(body):
+        if esc.group(1) not in _ESCAPES:
+            raise LexError(
+                f"unsupported escape '{esc.group()}' in string literal",
+                SourceSpan(span.file, span.line, span.column + 1 + esc.start()),
+            )
+    if not m.group("close"):
+        raise LexError("unterminated string literal", span)
+    return _ESCAPE.sub(lambda esc: _ESCAPES[esc.group(1)], body)
 
 
 def tokenize(source: str, file: str = "<string>") -> List[Token]:
     """Tokenize ``source``, ending the stream with a single EOF token."""
     tokens: List[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def span() -> SourceSpan:
-        return SourceSpan(file, line, col)
-
-    def emit(kind: TokenKind, text: str, value: object, sp: SourceSpan) -> None:
-        tokens.append(Token(kind, text, value, sp))
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            sp = span()
-            i += 1
-            col += 1
-            buf: List[str] = []
-            while True:
-                if i >= n or source[i] == "\n":
-                    raise LexError("unterminated string literal", sp)
-                ch = source[i]
-                if ch == '"':
-                    i += 1
-                    col += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n:
-                        raise LexError("unterminated string literal", sp)
-                    esc = source[i + 1]
-                    if esc not in _ESCAPES:
-                        raise LexError(
-                            f"unsupported escape '\\{esc}' in string literal",
-                            SourceSpan(file, line, col),
-                        )
-                    buf.append(_ESCAPES[esc])
-                    i += 2
-                    col += 2
-                    continue
-                buf.append(ch)
-                i += 1
-                col += 1
-            emit(TokenKind.STRING, "".join(buf), "".join(buf), sp)
-            continue
-        if c.isdigit():
-            sp = span()
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            is_float = False
-            if i + 1 < n and source[i] == "." and source[i + 1].isdigit():
-                is_float = True
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            text = source[start:i]
-            col += len(text)
-            if is_float:
-                emit(TokenKind.FLOAT, text, float(text), sp)
+    append = tokens.append
+    line = column = 1
+    for line, text in enumerate(source.split("\n"), 1):
+        for m in _TOKEN.finditer(text):
+            kind, column = m.lastgroup, m.start() + 1
+            if kind == "end":
+                break
+            word = m.group()
+            span = SourceSpan(file, line, column)
+            if kind == "name":
+                append(Token(
+                    TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT,
+                    word, None, span,
+                ))
+            elif kind == "punct":
+                append(Token(TokenKind.PUNCT, word, None, span))
+            elif kind == "int":
+                try:
+                    value = int(word)
+                except ValueError:  # longer than Python's int-from-text limit
+                    raise LexError(
+                        f"integer literal has more than {sys.get_int_max_str_digits()} digits",
+                        span,
+                    ) from None
+                append(Token(TokenKind.INT, word, value, span))
+            elif kind == "float":
+                append(Token(TokenKind.FLOAT, word, float(word), span))
+            elif kind == "string":
+                value = _decode(m, span)
+                append(Token(TokenKind.STRING, value, value, span))
             else:
-                emit(TokenKind.INT, text, int(text), sp)
-            continue
-        if _is_ident_start(c):
-            sp = span()
-            start = i
-            while i < n and _is_ident_char(source[i]):
-                i += 1
-            text = source[start:i]
-            col += len(text)
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            emit(kind, text, None, sp)
-            continue
-        if c == "@":
-            sp = span()
-            if i + 1 < n and source[i + 1] == "(":
-                emit(TokenKind.PUNCT, "@(", None, sp)
-                i += 2
-                col += 2
-                continue
-            raise LexError("illegal character '@'", sp)
-        if c == "&":
-            sp = span()
-            if i + 1 < n and source[i + 1] == "&":
-                emit(TokenKind.PUNCT, "&&", None, sp)
-                i += 2
-                col += 2
-                continue
-            raise LexError("illegal character '&'", sp)
-        if c == "!":
-            sp = span()
-            if i + 1 < n and source[i + 1] == "=":
-                emit(TokenKind.PUNCT, "!=", None, sp)
-                i += 2
-                col += 2
-                continue
-            raise LexError("illegal character '!'", sp)
-        two = source[i:i + 2]
-        if two in ("->", "==", "<=", ">=", "||"):
-            emit(TokenKind.PUNCT, two, None, span())
-            i += 2
-            col += 2
-            continue
-        if c in _SINGLE_PUNCT:
-            emit(TokenKind.PUNCT, c, None, span())
-            i += 1
-            col += 1
-            continue
-        raise LexError(f"illegal character {c!r}", span())
-
-    emit(TokenKind.EOF, "", None, span())
+                raise LexError(f"illegal character {word!r}", span)
+    # the end of the last line, or the '#' of a comment that ends the source
+    append(Token(TokenKind.EOF, "", None, SourceSpan(file, line, column)))
     return tokens

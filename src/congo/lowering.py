@@ -1,4 +1,4 @@
-"""Lowering: variant tables, layered-name mangling, and call-site marking.
+"""Lowering: variant tables, layered-name mangling, and the proceed check.
 
 Before/after layers are rewritten here into replace-style bodies with an
 implicit ``proceed()`` so that everything downstream (decision makers,
@@ -231,10 +231,6 @@ def lower(ast: nodes.ModuleAst) -> LoweredModule:
                 offender.body.span,
             )
 
-    contextual = frozenset(
-        name for name, table in tables.items() if table.layers
-    )
-
     # proceed may only appear where a dispatch chain can be active: in a
     # layer body, or in the base of a function that has layers (where it
     # fails at runtime once the chain is exhausted).  Nested lambdas are
@@ -242,30 +238,12 @@ def lower(ast: nodes.ModuleAst) -> LoweredModule:
     # checked by the interpreter's frame barriers instead.
     for decl in ast.decls:
         if decl.fn.annotation is None and not tables[decl.name].layers:
-            for node in nodes.walk_same_function(decl.fn.body):
+            for node in nodes.walk(decl.fn, into_lambdas=False):
                 if isinstance(node, nodes.Proceed):
                     raise ProceedOutsideLayerError(
                         f"proceed in '{decl.name}', which has no layered variants",
                         node.span,
                     )
-
-    # Mark dispatch sites.  Module-level calls are contextual by callee
-    # name; method calls always get a site because the receiver's table
-    # is only known at runtime.
-    next_site = 0
-    seen: set = set()
-    for table in tables.values():
-        for variant in table.variants():
-            for node in nodes.walk(variant.body):
-                if id(node) in seen:
-                    continue
-                seen.add(id(node))
-                if isinstance(node, nodes.Call) and node.callee in contextual:
-                    node.site_id = next_site
-                    next_site += 1
-                elif isinstance(node, nodes.MethodCall):
-                    node.site_id = next_site
-                    next_site += 1
 
     return LoweredModule(ast.name, tables, tuple(declared), ast)
 

@@ -8,9 +8,10 @@ pretty-printed round trip.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union, get_args
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,10 @@ class LayerMode(Enum):
 
 
 # --- expressions ----------------------------------------------------------
+
+# Every call node is its own dispatch site: the epoch guard caches one
+# decided chain per site id, so ids must differ between any two nodes.
+_next_site_id = itertools.count().__next__
 
 
 @dataclass
@@ -87,7 +92,7 @@ class Call:
     callee: str
     args: Tuple["Expr", ...]
     span: SourceSpan = field(compare=False)
-    site_id: Optional[int] = field(default=None, compare=False, repr=False)
+    site_id: int = field(default_factory=_next_site_id, compare=False, repr=False)
 
 
 @dataclass
@@ -96,7 +101,7 @@ class MethodCall:
     name: str
     args: Tuple["Expr", ...]
     span: SourceSpan = field(compare=False)
-    site_id: Optional[int] = field(default=None, compare=False, repr=False)
+    site_id: int = field(default_factory=_next_site_id, compare=False, repr=False)
 
 
 @dataclass
@@ -206,44 +211,23 @@ Stmt = Union[LetStmt, AssignStmt, ReturnStmt, IfStmt, WhileStmt, ExprStmt, Block
 
 Node = Union[Expr, Stmt, LayerAnnotation, FunctionDecl, ContextDecl, ModuleAst]
 
-NODE_TYPES = (
-    IntLit, FloatLit, StringLit, BoolLit, NullLit,
-    Ident, BinaryOp, UnaryOp, Call, MethodCall, Proceed, Lambda,
-    LayerAnnotation,
-    LetStmt, AssignStmt, ReturnStmt, IfStmt, WhileStmt, ExprStmt, Block,
-    FunctionDecl, ContextDecl, ModuleAst,
-)
+NODE_TYPES = get_args(Node)
 
 
-def walk(node: Node) -> Iterator[Node]:
-    """Yield ``node`` and every AST node nested anywhere beneath it."""
+def walk(node: Node, into_lambdas: bool = True) -> Iterator[Node]:
+    """Yield ``node`` and every AST node nested beneath it; nested lambdas
+    and everything in them only if ``into_lambdas``."""
     stack = [node]
     while stack:
         current = stack.pop()
         yield current
         for f in fields(current):
             value = getattr(current, f.name)
-            if isinstance(value, NODE_TYPES):
-                stack.append(value)
-            elif isinstance(value, tuple):
-                stack.extend(v for v in value if isinstance(v, NODE_TYPES))
-
-
-def walk_same_function(node: Node) -> Iterator[Node]:
-    """Like :func:`walk`, but does not descend into nested lambdas."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        for f in fields(current):
-            value = getattr(current, f.name)
-            if isinstance(value, NODE_TYPES) and not isinstance(value, Lambda):
-                stack.append(value)
-            elif isinstance(value, tuple):
-                stack.extend(
-                    v for v in value
-                    if isinstance(v, NODE_TYPES) and not isinstance(v, Lambda)
-                )
+            for child in value if isinstance(value, tuple) else (value,):
+                if isinstance(child, NODE_TYPES) and (
+                    into_lambdas or not isinstance(child, Lambda)
+                ):
+                    stack.append(child)
 
 
 def is_compact(lam: Lambda) -> bool:

@@ -32,6 +32,13 @@ from .lexer import Token, TokenKind, tokenize
 _VALUE_START_PUNCT = {"(", "|", "||", "-"}
 _VALUE_START_KEYWORDS = {"true", "false", "null", "not"}
 
+# binding strength of each infix operator, loosest first; all are
+# left-associative.  The printer parenthesises by the same table.
+PRECEDENCE = {
+    "||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4, "*": 5, "/": 5, "%": 5,
+}
+
 
 class Parser:
     def __init__(self, tokens: Sequence[Token]):
@@ -167,7 +174,7 @@ class Parser:
         if self._at_punct("||"):
             self._advance()
             return []
-        open_tok = self._expect(TokenKind.PUNCT, "|")
+        self._expect(TokenKind.PUNCT, "|")
         params: List[str] = []
         if not self._at_punct("|"):
             while True:
@@ -183,7 +190,6 @@ class Parser:
                     continue
                 break
         self._expect(TokenKind.PUNCT, "|")
-        del open_tok
         return params
 
     def _annotation(self) -> Optional[nodes.LayerAnnotation]:
@@ -287,19 +293,13 @@ class Parser:
 
     # --- expressions -----------------------------------------------------------
 
-    # binding strength of each infix operator, loosest first; all are left-associative
-    _PRECEDENCE = {
-        "||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, "<=": 3, ">": 3, ">=": 3,
-        "+": 4, "-": 4, "*": 5, "/": 5, "%": 5,
-    }
-
     def _expression(self, min_level: int = 0) -> nodes.Expr:
         """Precedence climbing: one loop covers every level, so a nested operand costs
         one frame, not one per level."""
         left = self._unary()
         while True:
             tok = self._peek()
-            level = self._PRECEDENCE.get(tok.text) if tok.kind is TokenKind.PUNCT else None
+            level = PRECEDENCE.get(tok.text) if tok.kind is TokenKind.PUNCT else None
             if (
                 level is None
                 or level < min_level

@@ -7,15 +7,9 @@ corpus, ``parse(format_module(parse(src)))`` equals ``parse(src)``.
 from __future__ import annotations
 
 from . import nodes
+from .parser import PRECEDENCE
 
-_PREC = {
-    "||": 1, "&&": 2,
-    "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
-}
-_UNARY_PREC = 7
+_UNARY_PREC = max(PRECEDENCE.values()) + 1
 
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
@@ -49,7 +43,7 @@ def format_expr(expr: nodes.Expr, indent: int = 0, parent_prec: int = 0) -> str:
         text = f"not {operand}" if expr.op == "not" else f"-{operand}"
         return f"({text})" if parent_prec > _UNARY_PREC else text
     if isinstance(expr, nodes.BinaryOp):
-        prec = _PREC[expr.op]
+        prec = PRECEDENCE[expr.op]
         left = format_expr(expr.left, indent, prec)
         right = format_expr(expr.right, indent, prec + 1)
         text = f"{left} {expr.op} {right}"

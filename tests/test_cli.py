@@ -99,6 +99,40 @@ def test_blocks_too_deep_to_compile_are_one_error_line(tmp_path):
     assert line == f"ERROR StackOverflow at {path}:2:17: block nesting too deep to compile"
 
 
+def test_integer_literal_past_the_digit_limit_is_one_lex_error_line(tmp_path):
+    src = "module m\nfunction main = || { println(" + "7" * 5000 + ") }\n"
+    path = write(tmp_path, "long.congo", src)
+    line = cli_error_line("run", path)
+    assert line.startswith(f"ERROR Lex at {path}:2:30: integer literal has more than ")
+
+
+@pytest.mark.parametrize("use,column", [("println(x)", 3), ('println("n=" + x)', 16)])
+def test_integer_too_long_to_print_is_one_runtime_error_line(tmp_path, use, column):
+    src = (
+        "module m\n"
+        "function main = || {\n"
+        "  let x = 1\n"
+        "  let i = 0\n"
+        "  while i < 5000 {\n"
+        "    x = x * 10\n"
+        "    i = i + 1\n"
+        "  }\n"
+        f"  {use}\n"
+        "}\n"
+    )
+    path = write(tmp_path, "huge.congo", src)
+    line = cli_error_line("run", path)
+    assert line.startswith(f"ERROR Runtime at {path}:9:{column}: integer has more than ")
+
+
+@pytest.mark.parametrize("dispatch", ["event", "direct"])
+def test_set_concrete_on_an_illegal_context_name_is_one_error_line(tmp_path, dispatch):
+    src = 'module m\nfunction main = || { setConcrete("a/b", "k", 1) }\n'
+    path = write(tmp_path, "topic.congo", src)
+    line = cli_error_line("run", path, "--dispatch", dispatch)
+    assert line.startswith(f"ERROR Type at {path}:2:22: setConcrete context name 'a/b'")
+
+
 def test_undecodable_program_is_one_io_error_line(tmp_path):
     path = tmp_path / "binary.congo"
     path.write_bytes(b"module m\nfunction main = || -> 1 \xff\n")

@@ -1131,6 +1131,17 @@ def test_set_concrete_rejects_non_scalar_key():
         run_program(src)
 
 
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+@pytest.mark.parametrize("context", ["a/b", ""])
+def test_set_concrete_context_that_names_no_topic_leaves_the_store_alone(mode, context):
+    src = f'module m\nfunction main = || {{ setConcrete("{context}", "k", 1) }}\n'
+    with Runtime(compile_source(src, file="<test>"), RunConfig(dispatch_mode=mode)) as rt:
+        epoch = rt.store.epoch
+        with pytest.raises(CongoTypeError):
+            rt.call("main")
+        assert rt.store.epoch == epoch
+
+
 # --- decision failure paths ----------------------------------------------------------
 
 

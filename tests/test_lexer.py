@@ -106,10 +106,32 @@ def test_two_char_operators():
     ]
 
 
-@pytest.mark.parametrize("bad", ["@", "&", "!", ";", "$", "^", "~"])
+# numbers are ASCII digits: superscript two and Arabic-Indic three are not
+@pytest.mark.parametrize("bad", ["@", "&", "!", ";", "$", "^", "~", "\u00b2", "\u0663"])
 def test_illegal_characters(bad):
     with pytest.raises(LexError):
         tokenize(f"let a = 1 {bad}")
+
+
+def test_backslash_before_a_line_break_leaves_the_string_unterminated():
+    with pytest.raises(LexError) as err:
+        tokenize('let s = "ab\\\nc"')
+    assert err.value.message == "unterminated string literal"
+    assert (err.value.span.line, err.value.span.column) == (1, 9)
+
+
+def test_unsupported_escape_is_reported_before_a_missing_quote():
+    with pytest.raises(LexError) as err:
+        tokenize('  "a\\qb')
+    assert err.value.message == "unsupported escape '\\q' in string literal"
+    assert err.value.span.column == 5
+
+
+def test_eof_after_a_trailing_comment_sits_at_the_hash():
+    eof = tokenize("let a = 1  # done")[-1]
+    assert eof.kind is TokenKind.EOF
+    assert (eof.span.line, eof.span.column) == (1, 12)
+    assert tokenize("a\n")[-1].span.line == 2
 
 
 def test_bare_at_not_followed_by_paren():

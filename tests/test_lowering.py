@@ -254,31 +254,44 @@ def test_proceed_inside_nested_annotated_lambda_is_fine():
     assert "build" in lowered.tables
 
 
+def test_compact_body_that_is_a_lambda_leaves_its_proceed_to_runtime():
+    # a lambda value's proceed belongs to whatever chain later calls it,
+    # whether the lambda is the compact body or returned from a block
+    assert "f" in lower_src("function f = || -> || -> proceed()\n").tables
+    assert "f" in lower_src("function f = || { return || -> proceed() }\n").tables
+
+
 # --- site marking and IR dumps ----------------------------------------------------
 
 
 def test_contextual_marking_matches_brute_force_rescan():
+    # a rescan of every variant body finds each textual call with its own
+    # site id, contextual or not, also inside nested lambdas and in the
+    # layers lowering desugars
     src = (
         "contexts = [C()]\n"
-        "function f = |x| -> g(x) + h(x)\n"
+        "function f = |x| -> g(x) + h(x) + g(x)\n"
         "function g = |x| -> x\n"
-        "function g = |x| @(C=ON) -> x + 1\n"
-        "function h = |x| -> x: unwrap()\n"
+        "function g = |x| @(C=ON)+ { println(g(x)) }\n"
+        "function h = |x| {\n"
+        "  let k = |y| -> h(y): unwrap()\n"
+        "  return x: unwrap() + k(x)\n"
+        "}\n"
     )
     lowered = lower_src(src)
-    seen_ids = []
-    for table in lowered.tables.values():
-        for variant in table.variants():
-            for node in N.walk(variant.body):
-                if isinstance(node, N.Call):
-                    callee = lowered.tables.get(node.callee)
-                    expect_site = callee is not None and bool(callee.layers)
-                    assert (node.site_id is not None) == expect_site, node.callee
-                elif isinstance(node, N.MethodCall):
-                    assert node.site_id is not None
-                if getattr(node, "site_id", None) is not None:
-                    seen_ids.append(node.site_id)
-    assert sorted(seen_ids) == list(range(len(seen_ids)))
+    calls = {
+        id(node): node
+        for table in lowered.tables.values()
+        for variant in table.variants()
+        for node in N.walk(variant.body)
+        if isinstance(node, (N.Call, N.MethodCall))
+    }
+    assert len(calls) == 9
+    site_ids = [node.site_id for node in calls.values()]
+    assert all(isinstance(site, int) for site in site_ids)
+    assert len(set(site_ids)) == len(site_ids)
+    again = {n.site_id for n in N.walk(lower_src(src).ast) if isinstance(n, N.Call)}
+    assert again.isdisjoint(site_ids)
 
 
 def test_format_ir_is_stable_and_line_oriented():
