@@ -137,7 +137,7 @@ def _run_iteration(runtime: Runtime, duration: float) -> float:
     The harness loops, so the measured operation is exactly one call of
     the benchmarked function (the loop is not interpreted program text).
     """
-    call = runtime.interpreter.call_function
+    call = runtime.call
     chunk_range = range(_CHUNK)
     ops = 0
     elapsed = 0.0

@@ -124,17 +124,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             benchmarks=tuple(args.benchmarks),
         )
         results = run_benchmarks(config)
+        print(format_table(results))
+        if args.json_out:
+            try:
+                with open(args.json_out, "w", encoding="utf-8") as handle:
+                    json.dump(results_payload(results), handle, indent=2)
+                    handle.write("\n")
+            except OSError as exc:
+                raise ReadError(f"cannot write {args.json_out}: {exc.strerror}") from None
     except ValueError as exc:
         sys.stderr.write(f"ERROR BenchConfig: {exc}\n")
         return 2
     except CongoError as exc:
         _print_error(exc)
         return 1
-    print(format_table(results))
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(results_payload(results), handle, indent=2)
-            handle.write("\n")
     return 0
 
 

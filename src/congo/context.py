@@ -3,9 +3,9 @@
 A :class:`ConcreteValueStore` holds raw scalars keyed by (context, key)
 and stamps every write with a strictly increasing epoch.  Context
 descriptors map a consistent snapshot of those scalars to sets of meta
-symbols; the :class:`ContextManager` keeps, per module, which
-descriptors are active.  A meta snapshot is a pure function of the
-store's contents, so the manager evaluates it once per store epoch.
+symbols; a :class:`ContextManager` holds one module's descriptors over
+one store.  A meta snapshot is a pure function of the store's contents,
+so the manager evaluates it once per store epoch.
 """
 
 from __future__ import annotations
@@ -151,41 +151,34 @@ class ContextChanged(NamedTuple):
 
 
 class ContextManager:
-    """Per-module registry of active context descriptors."""
+    """One module's context descriptors, evaluated over one store."""
 
-    def __init__(self) -> None:
-        self._registry: Dict[str, Tuple[ContextDescriptor, ...]] = {}
-        # module -> (store, epoch, read-only snapshot, {only: read-only view})
-        # of its last evaluation
-        self._memo: Dict[str, Tuple[ConcreteValueStore, int, Mapping, Dict]] = {}
-
-    def register_module_contexts(self, module: str, ctor_names) -> None:
-        """Instantiate descriptors for a module; re-registration replaces."""
-        self._registry[module] = tuple(create_context(n) for n in ctor_names)
-        self._memo.pop(module, None)
-
-    def contexts_for(self, module: str) -> Tuple[ContextDescriptor, ...]:
-        return self._registry.get(module, ())
+    def __init__(self, store: ConcreteValueStore, ctor_names) -> None:
+        self._store = store
+        self._descriptors = tuple(create_context(n) for n in ctor_names)
+        # (epoch, read-only snapshot, {only: read-only view}) of the last
+        # evaluation, or None before the first
+        self._memo: Optional[Tuple[int, Mapping, Dict]] = None
 
     def snapshot_meta(
-        self, module: str, store: ConcreteValueStore, only: Optional[Tuple[str, ...]] = None
+        self, only: Optional[Tuple[str, ...]] = None
     ) -> Tuple[Mapping[str, FrozenSet[str]], int]:
-        """The module's meta snapshot of ``store`` and the epoch it was taken at.
+        """The meta snapshot of the store and the epoch it was taken at.
 
-        Descriptors are evaluated once per store epoch: while ``store`` is
-        at the epoch of the module's last evaluation, that read-only
-        snapshot is returned again.  When a new epoch's evaluation equals
-        that snapshot, the same object is returned with the new epoch, so
+        Descriptors are evaluated once per store epoch: while the store is
+        at the epoch of the last evaluation, that read-only snapshot is
+        returned again.  When a new epoch's evaluation equals that
+        snapshot, the same object is returned with the new epoch, so
         snapshot identity changes only when some meta does.  So does that
         of the view narrowed to ``only`` (a receiver's ``contexts(...)``):
         each snapshot object keeps one read-only view per ``only``.
         """
-        memo = self._memo.get(module)
-        if memo is None or memo[0] is not store or memo[1] != store.epoch:
-            entries, epoch = store.snapshot()
+        memo = self._memo
+        if memo is None or memo[0] != self._store.epoch:
+            entries, epoch = self._store.snapshot()
             view = StoreView(entries)
             snapshot: Dict[str, FrozenSet[str]] = {}
-            for descriptor in self._registry.get(module, ()):
+            for descriptor in self._descriptors:
                 try:
                     metas = frozenset(descriptor.evaluate(view))
                 except RecursionError:
@@ -203,18 +196,18 @@ class ContextManager:
                             f"symbol: {symbol!r}",
                         )
                 snapshot[descriptor.name] = metas
-            if memo is None or memo[0] is not store or memo[2] != snapshot:
-                memo = (store, epoch, types.MappingProxyType(snapshot), {})
+            if memo is None or memo[1] != snapshot:
+                memo = (epoch, types.MappingProxyType(snapshot), {})
             # a meta-neutral write keeps the snapshot object and its views
-            memo = self._memo[module] = (store, epoch, memo[2], memo[3])
+            memo = self._memo = (epoch, memo[1], memo[2])
         if only is None:
-            return memo[2], memo[1]
-        views = memo[3]
+            return memo[1], memo[0]
+        views = memo[2]
         if only not in views:
             views[only] = types.MappingProxyType(
-                {name: metas for name, metas in memo[2].items() if name in only}
+                {name: metas for name, metas in memo[1].items() if name in only}
             )
-        return views[only], memo[1]
+        return views[only], memo[0]
 
 
 # --- concrete-value ingestion (CLI --set flags and feed files) -------------

@@ -143,17 +143,6 @@ class DynObject:
 Value = Union[int, float, str, bool, None, FunctionValue, DynObject, DecisionMakerValue]
 
 
-class CallSite:
-    """The epoch guard's memory of one site: the chain last decided there."""
-
-    __slots__ = ("chain", "epoch", "receiver")
-
-    def __init__(self) -> None:
-        self.chain: Tuple[Variant, ...] = ()
-        self.epoch = -1  # no store epoch is negative, so a new site misses
-        self.receiver: Optional[Tuple[int, int]] = None  # (identity, version)
-
-
 def stringify(value: Value, span) -> str:
     if value is None:
         return "null"
@@ -195,52 +184,48 @@ def _values_equal(left: Value, right: Value) -> bool:
     return left == right
 
 
+_ARITHMETIC = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "%": operator.mod,
+}
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def _apply_binary(op: str, left: Value, right: Value, span) -> Value:
     if op == "==":
         return _values_equal(left, right)
     if op == "!=":
         return not _values_equal(left, right)
-    if op == "+":
-        if isinstance(left, str) or isinstance(right, str):
+    if op in _ARITHMETIC:
+        if op == "+" and (isinstance(left, str) or isinstance(right, str)):
             return stringify(left, span) + stringify(right, span)
-        if is_number(left) and is_number(right):
-            return left + right
-        raise CongoTypeError(
-            f"cannot add {type(left).__name__} and {type(right).__name__}", span
-        )
-    if op in ("-", "*", "/", "%"):
         if not (is_number(left) and is_number(right)):
+            if op == "+":
+                raise CongoTypeError(
+                    f"cannot add {type(left).__name__} and {type(right).__name__}", span
+                )
             raise CongoTypeError(
                 f"'{op}' needs numeric operands, got "
                 f"{stringify(left, span)!r} and {stringify(right, span)!r}", span
             )
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise DivisionByZeroError("division by zero", span)
-            if isinstance(left, int) and isinstance(right, int):
-                return left // right
-            return left / right
-        if right == 0:
-            raise DivisionByZeroError("modulo by zero", span)
-        return left % right
-    if op in ("<", "<=", ">", ">="):
+        if op in ("/", "%") and right == 0:
+            raise DivisionByZeroError(
+                "division by zero" if op == "/" else "modulo by zero", span
+            )
+        if op == "/" and isinstance(left, int) and isinstance(right, int):
+            return left // right
+        try:
+            return _ARITHMETIC[op](left, right)
+        except OverflowError:  # an int operand too large to become a float
+            raise CongoRuntimeError(
+                f"integer operand of '{op}' is too large to mix with a float", span
+            ) from None
+    if op in _ORDERINGS:
         both_numbers = is_number(left) and is_number(right)
         both_strings = isinstance(left, str) and isinstance(right, str)
         if not (both_numbers or both_strings):
-            raise CongoTypeError(
-                f"'{op}' needs two numbers or two strings", span
-            )
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        return left >= right
+            raise CongoTypeError(f"'{op}' needs two numbers or two strings", span)
+        return _ORDERINGS[op](left, right)
     raise CongoRuntimeError(f"unknown operator '{op}'", span)
 
 
@@ -253,38 +238,64 @@ def _not_bool(what: str, value: Value, span) -> CongoTypeError:
 _NAME_AND_SPAN = operator.itemgetter(0, 1)
 
 
-class Interpreter:
-    def __init__(
-        self,
-        lowered: LoweredModule,
-        context_manager: ContextManager,
-        store: ConcreteValueStore,
-        bus: MessageBus,
-        global_dm: DecisionMaker,
-        config: RunConfig,
-    ):
+class Runtime:
+    """One started module: the interpreter and what its calls dispatch through.
+
+    :meth:`start` builds the module's store, context manager, bus and
+    decision maker; :meth:`call` runs a module function from the host.
+    Every call reads ``store``, ``context_manager`` and ``bus`` from the
+    instance, so a tool may wrap their methods once the runtime is started.
+    """
+
+    def __init__(self, lowered: LoweredModule, config: Optional[RunConfig] = None):
         self._lowered = lowered
         self._tables = lowered.tables
-        self._context_manager = context_manager
-        self._store = store
-        self._bus = bus
-        self._global_dm = global_dm
-        self._config = config
+        self._config = config = config or RunConfig()
         self._println = config.println or (lambda text: print(text))
-        # keyed by the site id of the call node, or by function
-        # name for calls from the host
-        self._sites: Dict[Union[int, str], CallSite] = {}
+        self._started = False
+        self.store: Optional[ConcreteValueStore] = None
+        self.context_manager: Optional[ContextManager] = None
+        self.bus: Optional[MessageBus] = None
+        self.global_dm: Optional[DecisionMaker] = None
+
+    def start(self) -> "Runtime":
+        if self._started:
+            return self
+        config = self._config
+        self.store = ConcreteValueStore()
+        self.context_manager = ContextManager(self.store, self._lowered.context_ctors)
+        for context, key, value in config.initial_values:
+            self.store.set(context, key, value)
+        self.bus = MessageBus(trace=config.trace)
+        try:
+            if isinstance(config.decision_maker, DecisionMaker):
+                dm = config.decision_maker
+            else:
+                dm = create_decision_maker(config.decision_maker)
+            dm.init({"store": self.store, "module": self._lowered.name})
+            self.global_dm = dm
+            if config.dispatch_mode is DispatchMode.EVENT:
+                attach_decision_maker(self.bus, dm)
+        except BaseException:
+            self.bus.shutdown()
+            raise
+        # The epoch guard's memory, keyed by the site id of the call node,
+        # or by function name for calls from the host: the (chain, store
+        # epoch, receiver (identity, version) or None) last decided there.
+        self._sites: Dict[Union[int, str], Tuple] = {}
         self._request_ids = itertools.count(1)
-        self._request_topic = request_topic_for(lowered.name)
+        self._request_topic = request_topic_for(self._lowered.name)
         self._changed_topics: Dict[str, Topic] = {}  # context -> its changed topic
         # One entry per running ConGo function: (name, call span, the rest
         # of the chain proceed() runs next or None outside a dispatch, the
         # arguments a bare proceed() re-sends, the receiver).
         self._stack: List[Tuple] = []
+        self._started = True
+        return self
 
-    # --- public entry points -------------------------------------------------
-
-    def call_function(self, name: str, args: Sequence[Value] = ()) -> Value:
+    def call(self, name: str, args: Sequence[Value] = ()) -> Value:
+        if not self._started:
+            raise RuntimeError("Runtime.call before start()")
         table = self._tables.get(name)
         if table is None:
             raise UnknownFunctionError(
@@ -292,6 +303,17 @@ class Interpreter:
             )
         span = (table.base or table.layers[0]).body.span
         return self._call_table(table, None, tuple(args), span, name)
+
+    def shutdown(self) -> None:
+        if self.bus is not None:
+            self.bus.shutdown()
+        self._started = False
+
+    def __enter__(self) -> "Runtime":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
 
     # --- dynamic object builtins -------------------------------------------------
 
@@ -359,18 +381,21 @@ class Interpreter:
     ) -> Value:
         """Run a function or method: its base if it has no layers, else dispatch."""
         if not table.layers:
-            return self._invoke_variant(table.base, receiver, args, (), span)
-        receiver_key = (
-            (receiver.identity, receiver.version) if receiver is not None else None
-        )
-        site = None
-        if self._config.cache_policy is CachePolicy.EPOCH_GUARD:
+            base = table.base
+            return self._invoke(base.body, base.closure_env, base.variant_id.mangled_name,
+                                span, (), args, receiver)
+        guard = self._config.cache_policy is CachePolicy.EPOCH_GUARD
+        if guard:
+            receiver_key = (
+                (receiver.identity, receiver.version) if receiver is not None else None
+            )
             site = self._sites.get(site_key)
-            if site is None:
-                site = self._sites[site_key] = CallSite()
-            elif site.epoch == self._store.epoch and site.receiver == receiver_key:
-                chain = site.chain
-                return self._invoke_variant(chain[0], receiver, args, chain[1:], span)
+            if site is not None and site[1] == self.store.epoch and site[2] == receiver_key:
+                chain = site[0]
+                first = chain[0]
+                return self._invoke(first.body, first.closure_env,
+                                    first.variant_id.mangled_name, span, chain[1:],
+                                    args, receiver)
 
         data = table.dispatch_data()
         if data.missing_base is not None:
@@ -380,14 +405,12 @@ class Interpreter:
                 span,
             )
         try:
-            dm, only = self._global_dm, None
+            dm, only = self.global_dm, None
             if receiver is not None:
                 only = receiver.contexts_override
                 if receiver.decision_maker is not None:
                     dm = receiver.decision_maker
-            snapshot, epoch = self._context_manager.snapshot_meta(
-                self._lowered.name, self._store, only
-            )
+            snapshot, epoch = self.context_manager.snapshot_meta(only)
             request_id = next(self._request_ids)
             event = self._config.dispatch_mode is DispatchMode.EVENT
             request = InvocationRequest(
@@ -403,7 +426,7 @@ class Interpreter:
                 dm,
             )
             if event:
-                reply = self._bus.request_reply(
+                reply = self.bus.request_reply(
                     self._request_topic,
                     request,
                     request.reply_topic,
@@ -416,47 +439,40 @@ class Interpreter:
                 exc.span = span
             raise
         chain = validate_response(request, reply, span, data)
-        if site is not None:
-            site.chain, site.epoch, site.receiver = chain, epoch, receiver_key
-        return self._invoke_variant(chain[0], receiver, args, chain[1:], span)
-
-    def _invoke_variant(
-        self,
-        variant: Variant,
-        receiver: Optional[DynObject],
-        args: Tuple,
-        remaining: Tuple[Variant, ...],
-        span,
-    ) -> Value:
-        return self._invoke(
-            variant.body,
-            variant.closure_env,
-            (receiver, *args) if receiver is not None else args,
-            (variant.variant_id.mangled_name, span, remaining, args, receiver),
-        )
+        if guard:
+            self._sites[site_key] = (chain, epoch, receiver_key)
+        first = chain[0]
+        return self._invoke(first.body, first.closure_env, first.variant_id.mangled_name,
+                            span, chain[1:], args, receiver)
 
     def _invoke(
         self,
         lam: nodes.Lambda,
         closure_env: Optional[Environment],  # None for module functions
+        name: str,
+        span,
+        remaining: Optional[Tuple[Variant, ...]],  # None for a local lambda
         args: Tuple,
-        entry: Tuple,  # pushed on the call stack; see __init__
+        receiver: Optional[DynObject],
     ) -> Value:
+        """Run one ConGo body: a variant, whose ``remaining`` chain proceed()
+        steps into, or a local lambda.  The last five arguments are its
+        call-stack entry; a method's receiver is its first parameter."""
+        values = (receiver, *args) if receiver is not None else args
         params = lam.params
-        if len(args) != len(params):
+        if len(values) != len(params):
             raise CallArityError(
-                f"'{entry[0]}' expects {len(params)} argument(s), got {len(args)}",
-                entry[1],
+                f"'{name}' expects {len(params)} argument(s), got {len(values)}", span
             )
         # a dict display is several times cheaper than dict(zip(...))
         if len(params) == 1:
-            bindings = {params[0]: args[0]}
+            bindings = {params[0]: values[0]}
         elif len(params) == 2:
-            bindings = {params[0]: args[0], params[1]: args[1]}
+            bindings = {params[0]: values[0], params[1]: values[1]}
         else:
-            bindings = dict(zip(params, args))
+            bindings = dict(zip(params, values))
         stack = self._stack
-        stack.append(entry)
+        stack.append((name, span, remaining, args, receiver))
         try:
             code = lam.code
             if code is None:  # first call: compile once, for every runtime
@@ -471,7 +487,7 @@ class Interpreter:
             # reaches the caller's _invoke, a few frames up, which retries.
             raise StackOverflowError(
                 f"stack exhausted after {len(stack)} nested calls",
-                entry[1],
+                span,
                 tuple(map(_NAME_AND_SPAN, stack)),
             ) from None
         finally:
@@ -509,18 +525,16 @@ class Interpreter:
                     f"setConcrete context name {context!r} cannot name a bus topic", span
                 ) from None
             self._changed_topics[context] = topic
-        epoch = self._store.set(context, key, value)
-        if not self._bus.closed:
-            self._bus.publish(topic, ContextChanged(context, key, value, epoch))
+        epoch = self.store.set(context, key, value)
+        if not self.bus.closed:
+            self.bus.publish(topic, ContextChanged(context, key, value, epoch))
         return None
 
     def _builtin_current_meta(self, args: Tuple, span) -> Value:
         if len(args) != 1 or not isinstance(args[0], str):
             raise CallArityError("currentMeta expects one context name", span)
         try:
-            snapshot, _ = self._context_manager.snapshot_meta(
-                self._lowered.name, self._store
-            )
+            snapshot, _ = self.context_manager.snapshot_meta()
         except ContextEvaluationError as exc:
             if exc.span is None:
                 exc.span = span
@@ -538,7 +552,7 @@ class Interpreter:
         if len(args) != 1 or not isinstance(args[0], str):
             raise CallArityError("decisionMaker expects one registered name", span)
         dm = create_decision_maker(args[0])
-        dm.init({"store": self._store, "module": self._lowered.name})
+        dm.init({"store": self.store, "module": self._lowered.name})
         return DecisionMakerValue(args[0], dm)
 
     _BUILTINS = {
@@ -552,11 +566,12 @@ class Interpreter:
 
 # --- closure compiler ------------------------------------------------------------
 #
-# Every closure takes (interp, env) and captures only AST field values and
-# other closures, never an interpreter, store, bus or scope: tables and
-# lambdas are shared by every runtime built from one LoweredModule.  An
-# expression closure returns its value.  A statement closure returns _NEXT
-# to fall through to the next statement, or the value of a ``return``.
+# Every closure takes (interp, env), interp being the started Runtime, and
+# captures only AST field values and other closures, never a runtime, store,
+# bus or scope: tables and lambdas are shared by every runtime built from
+# one LoweredModule.  An expression closure returns its value.  A statement
+# closure returns _NEXT to fall through to the next statement, or the value
+# of a ``return``.
 
 _NEXT = object()
 
@@ -626,8 +641,7 @@ def _compile_lambda_value(expr: nodes.Lambda) -> Callable:
 # operands, bools included, and '/' or '%' by zero get _apply_binary's checks.
 _INT_OPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "==": operator.eq, "!=": operator.ne,
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne, **_ORDERINGS,
 }
 _INT_DIVISIONS = {"/": operator.floordiv, "%": operator.mod}
 
@@ -717,7 +731,7 @@ def _compile_call(expr: nodes.Call) -> Callable:
                 if not isinstance(fn, FunctionValue):
                     raise CongoTypeError(f"'{name}' is not callable", span)
                 return interp._invoke(
-                    fn.lam, fn.env, args(interp, env), (fn.name, span, None, None, None)
+                    fn.lam, fn.env, fn.name, span, None, args(interp, env), None
                 )
             scope = scope.parent
         table = interp._tables.get(name)
@@ -734,7 +748,7 @@ def _compile_call(expr: nodes.Call) -> Callable:
 def _compile_method(expr: nodes.MethodCall) -> Callable:
     name, span, site = expr.name, expr.span, expr.site_id
     receiver_of, args = _compile(expr.receiver), _compile_args(expr.args)
-    builtin = Interpreter._OBJECT_BUILTINS.get(name)
+    builtin = Runtime._OBJECT_BUILTINS.get(name)
 
     def method(interp, env):
         receiver, values = receiver_of(interp, env), args(interp, env)
@@ -779,7 +793,9 @@ def _compile_proceed(expr: nodes.Proceed) -> Callable:
             )
         if args is not None:
             sent = args(interp, env)
-        return interp._invoke_variant(remaining[0], receiver, sent, remaining[1:], span)
+        step = remaining[0]
+        return interp._invoke(step.body, step.closure_env, step.variant_id.mangled_name,
+                              span, remaining[1:], sent, receiver)
 
     return proceed
 
@@ -896,69 +912,6 @@ _COMPILERS = {
     nodes.ExprStmt: _compile_expr_stmt,
     nodes.Block: _compile_block,
 }
-
-
-# --- runtime lifecycle ---------------------------------------------------------
-
-
-class Runtime:
-    """One started module: contexts registered, bus running, decision maker attached."""
-
-    def __init__(self, lowered: LoweredModule, config: Optional[RunConfig] = None):
-        self._lowered = lowered
-        self._config = config or RunConfig()
-        self._started = False
-        self.bus: Optional[MessageBus] = None
-        self.store: Optional[ConcreteValueStore] = None
-        self.context_manager: Optional[ContextManager] = None
-        self.global_dm: Optional[DecisionMaker] = None
-        self.interpreter: Optional[Interpreter] = None
-
-    def start(self) -> "Runtime":
-        if self._started:
-            return self
-        config = self._config
-        self.store = ConcreteValueStore()
-        self.context_manager = ContextManager()
-        self.context_manager.register_module_contexts(
-            self._lowered.name, self._lowered.context_ctors
-        )
-        for context, key, value in config.initial_values:
-            self.store.set(context, key, value)
-        self.bus = MessageBus(trace=config.trace)
-        try:
-            if isinstance(config.decision_maker, DecisionMaker):
-                dm = config.decision_maker
-            else:
-                dm = create_decision_maker(config.decision_maker)
-            dm.init({"store": self.store, "module": self._lowered.name})
-            self.global_dm = dm
-            if config.dispatch_mode is DispatchMode.EVENT:
-                attach_decision_maker(self.bus, dm)
-            self.interpreter = Interpreter(
-                self._lowered, self.context_manager, self.store, self.bus, dm, config
-            )
-        except BaseException:
-            self.bus.shutdown()
-            raise
-        self._started = True
-        return self
-
-    def call(self, name: str, args: Sequence[Value] = ()) -> Value:
-        if not self._started:
-            raise RuntimeError("Runtime.call before start()")
-        return self.interpreter.call_function(name, args)
-
-    def shutdown(self) -> None:
-        if self.bus is not None:
-            self.bus.shutdown()
-        self._started = False
-
-    def __enter__(self) -> "Runtime":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
 
 def run(

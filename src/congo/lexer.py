@@ -10,11 +10,11 @@ position.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
-from typing import List
+from typing import List, NamedTuple
 
 from .errors import LexError
 from .nodes import SourceSpan
@@ -57,8 +57,7 @@ _TOKEN = re.compile(r"""
 _ESCAPE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     value: object  # decoded literal for INT/FLOAT/STRING, else None
@@ -111,7 +110,10 @@ def tokenize(source: str, file: str = "<string>") -> List[Token]:
                     ) from None
                 append(Token(TokenKind.INT, word, value, span))
             elif kind == "float":
-                append(Token(TokenKind.FLOAT, word, float(word), span))
+                value = float(word)
+                if math.isinf(value):
+                    raise LexError("float literal is too large for a double", span)
+                append(Token(TokenKind.FLOAT, word, value, span))
             elif kind == "string":
                 value = _decode(m, span)
                 append(Token(TokenKind.STRING, value, value, span))

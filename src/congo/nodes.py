@@ -11,11 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, Iterator, Optional, Tuple, Union, get_args
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union, get_args
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     file: str
     line: int
     column: int
@@ -223,7 +222,8 @@ def walk(node: Node, into_lambdas: bool = True) -> Iterator[Node]:
         yield current
         for f in fields(current):
             value = getattr(current, f.name)
-            for child in value if isinstance(value, tuple) else (value,):
+            # a span is a tuple too, but never holds a node
+            for child in value if type(value) is tuple else (value,):
                 if isinstance(child, NODE_TYPES) and (
                     into_lambdas or not isinstance(child, Lambda)
                 ):

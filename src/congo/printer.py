@@ -6,6 +6,8 @@ corpus, ``parse(format_module(parse(src)))`` equals ``parse(src)``.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 from . import nodes
 from .parser import PRECEDENCE
 
@@ -22,7 +24,9 @@ def format_expr(expr: nodes.Expr, indent: int = 0, parent_prec: int = 0) -> str:
     if isinstance(expr, nodes.IntLit):
         return str(expr.value)
     if isinstance(expr, nodes.FloatLit):
-        return repr(expr.value)
+        # positional, as the lexer reads it: repr would give 1e+23 or 1e-05
+        text = format(Decimal(repr(expr.value)), "f")
+        return text if "." in text else text + ".0"
     if isinstance(expr, nodes.StringLit):
         return f'"{_escape(expr.value)}"'
     if isinstance(expr, nodes.BoolLit):

@@ -57,16 +57,18 @@ def test_runtime_errors_report_kind(tmp_path, capsys):
     assert "ERROR DivisionByZero at " in capsys.readouterr().err
 
 
-def cli_error_line(*argv):
-    """The one stderr line of a ``congo`` subprocess that must fail.
-
-    A subprocess, so that a traceback would reach stderr as a user sees it.
-    """
+def cli(*argv):
+    """A ``congo`` subprocess: its stack and stderr are the ones a user gets."""
     env = dict(os.environ, PYTHONPATH=str(Path(congo.__file__).parent.parent))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "congo.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def cli_error_line(*argv):
+    """The one stderr line of a ``congo`` subprocess that must fail."""
+    proc = cli(*argv)
     assert proc.returncode == 1
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
@@ -82,6 +84,16 @@ def test_deep_recursion_is_one_error_line(tmp_path):
     )
     path = write(tmp_path, "deep.congo", src)
     assert cli_error_line("run", path).startswith(f"ERROR StackOverflow at {path}:")
+
+
+def test_recursion_reaches_depth_190(tmp_path):
+    src = (
+        "module m\n"
+        "function f = |n| { if n == 0 { return 0 } return 1 + f(n - 1) }\n"
+        "function main = || { println(f(190)) }\n"
+    )
+    proc = cli("run", write(tmp_path, "depth.congo", src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "190\n", "")
 
 
 def test_deep_nesting_is_one_parse_error_line(tmp_path):
@@ -123,6 +135,24 @@ def test_integer_too_long_to_print_is_one_runtime_error_line(tmp_path, use, colu
     path = write(tmp_path, "huge.congo", src)
     line = cli_error_line("run", path)
     assert line.startswith(f"ERROR Runtime at {path}:9:{column}: integer has more than ")
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "%"])
+def test_huge_integer_mixed_with_a_float_is_one_runtime_error_line(tmp_path, op):
+    src = (
+        "module m\n"
+        "function main = || {\n"
+        "  let big = 1\n"
+        "  while big < 1" + "0" * 400 + " { big = big * 10 }\n"
+        f"  println(big {op} 0.5)\n"
+        "}\n"
+    )
+    path = write(tmp_path, "mixed.congo", src)
+    line = cli_error_line("run", path)
+    assert line == (
+        f"ERROR Runtime at {path}:5:15: integer operand of '{op}' is too large "
+        "to mix with a float"
+    )
 
 
 @pytest.mark.parametrize("dispatch", ["event", "direct"])
@@ -281,6 +311,17 @@ def test_bench_table_and_json(tmp_path, capsys):
     payload = json.loads(out_file.read_text(encoding="utf-8"))
     assert payload["results"][0]["benchmark"] == "plain_single"
     assert payload["results"][0]["throughput_ops_per_ms"] > 0
+
+
+def test_bench_json_to_an_unwritable_path_is_one_io_error_line(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "results.json"
+    code = main([
+        "bench", "--benchmarks", "plain_single", "--warmup", "1", "--measure", "3",
+        "--duration", "0.02", "--json", str(out_file),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"ERROR Io: cannot write {out_file}: No such file or directory\n"
 
 
 def test_bench_rejects_bad_settings(capsys):

@@ -126,10 +126,9 @@ def test_evaluation_is_deterministic(values):
         for ctx in ("ConfusedHero", "Weather", "Battery"):
             a.set(ctx, key, value)
             b.set(ctx, key, value)
-    manager = ContextManager()
-    manager.register_module_contexts("m", ("ConfusedHero", "Weather", "Battery"))
-    snap_a, _ = manager.snapshot_meta("m", a)
-    snap_b, _ = manager.snapshot_meta("m", b)
+    ctors = ("ConfusedHero", "Weather", "Battery")
+    snap_a, _ = ContextManager(a, ctors).snapshot_meta()
+    snap_b, _ = ContextManager(b, ctors).snapshot_meta()
     assert snap_a == snap_b
 
 
@@ -137,56 +136,36 @@ def test_evaluation_is_deterministic(values):
 
 
 def test_registration_order_and_readback():
-    manager = ContextManager()
-    manager.register_module_contexts("demo.hero", ("ConfusedHero", "Weather"))
-    names = [d.name for d in manager.contexts_for("demo.hero")]
-    assert names == ["ConfusedHero", "Weather"]
-    assert manager.contexts_for("never.registered") == ()
+    manager = ContextManager(ConcreteValueStore(), ("ConfusedHero", "Weather"))
+    assert list(manager.snapshot_meta()[0]) == ["ConfusedHero", "Weather"]
 
 
 def test_empty_registration():
-    manager = ContextManager()
-    manager.register_module_contexts("m", ())
-    assert manager.contexts_for("m") == ()
+    store = ConcreteValueStore()
+    store.set("C", "k", 1)
+    assert ContextManager(store, ()).snapshot_meta() == ({}, 1)
 
 
 def test_unknown_ctor_is_reported_by_name():
-    manager = ContextManager()
     with pytest.raises(UnknownContextCtorError) as err:
-        manager.register_module_contexts("m", ("Nonexistent",))
+        ContextManager(ConcreteValueStore(), ("Nonexistent",))
     assert "Nonexistent" in str(err.value)
 
 
-def test_reregistration_replaces():
-    manager = ContextManager()
-    manager.register_module_contexts("m", ("Weather",))
-    manager.register_module_contexts("m", ("Battery",))
-    assert [d.name for d in manager.contexts_for("m")] == ["Battery"]
-
-
 def test_snapshot_meta_built_in_rules():
-    manager = ContextManager()
-    manager.register_module_contexts("m", ("ConfusedHero", "Weather"))
     store = ConcreteValueStore()
+    manager = ContextManager(store, ("ConfusedHero", "Weather"))
     store.set("Weather", "rainfall_mm", 7.0)
-    snap, epoch = manager.snapshot_meta("m", store)
+    snap, epoch = manager.snapshot_meta()
     assert snap == {"ConfusedHero": {"FALSE"}, "Weather": {"RAINY"}}
     assert epoch == 1
 
 
-def test_snapshot_meta_unknown_module():
-    manager = ContextManager()
-    store = ConcreteValueStore()
-    store.set("C", "k", 1)
-    assert manager.snapshot_meta("m", store) == ({}, 1)
-
-
 def test_snapshot_purity_without_mutations():
-    manager = ContextManager()
-    manager.register_module_contexts("m", ("Battery",))
     store = ConcreteValueStore()
+    manager = ContextManager(store, ("Battery",))
     store.set("Battery", "charge_pct", 12.0)
-    assert manager.snapshot_meta("m", store) == manager.snapshot_meta("m", store)
+    assert manager.snapshot_meta() == manager.snapshot_meta()
 
 
 class _Exploding:
@@ -199,10 +178,9 @@ class _Exploding:
 def test_descriptor_failure_wrapped_and_named():
     register_context("Exploding", _Exploding)
     try:
-        manager = ContextManager()
-        manager.register_module_contexts("m", ("Exploding",))
+        manager = ContextManager(ConcreteValueStore(), ("Exploding",))
         with pytest.raises(ContextEvaluationError) as err:
-            manager.snapshot_meta("m", ConcreteValueStore())
+            manager.snapshot_meta()
         assert err.value.context == "Exploding"
         assert "sensor offline" in str(err.value)
     finally:
@@ -219,10 +197,9 @@ class _BadSymbols:
 def test_meta_symbols_must_be_identifiers():
     register_context("BadSymbols", _BadSymbols)
     try:
-        manager = ContextManager()
-        manager.register_module_contexts("m", ("BadSymbols",))
+        manager = ContextManager(ConcreteValueStore(), ("BadSymbols",))
         with pytest.raises(ContextEvaluationError):
-            manager.snapshot_meta("m", ConcreteValueStore())
+            manager.snapshot_meta()
     finally:
         unregister_context("BadSymbols")
 
@@ -240,120 +217,91 @@ class _Counting:
 
 
 @pytest.fixture
-def counting_manager():
+def store():
+    return ConcreteValueStore()
+
+
+@pytest.fixture
+def counting():
     _Counting.evaluations = 0
     register_context("Counting", _Counting)
-    try:
-        manager = ContextManager()
-        manager.register_module_contexts("m", ("Counting",))
-        yield manager
-    finally:
-        unregister_context("Counting")
+    yield
+    unregister_context("Counting")
 
 
-def test_descriptors_evaluate_once_per_store_epoch(counting_manager):
-    store = ConcreteValueStore()
+@pytest.fixture
+def counting_manager(counting, store):
+    return ContextManager(store, ("Counting",))
+
+
+def test_descriptors_evaluate_once_per_store_epoch(counting_manager, store):
     store.set("Counting", "level", 1)
     for _ in range(100):
-        snap, epoch = counting_manager.snapshot_meta("m", store)
+        snap, epoch = counting_manager.snapshot_meta()
         assert (snap, epoch) == ({"Counting": {"LOW"}}, 1)
     assert _Counting.evaluations == 1
     store.set("Counting", "level", 9)
-    assert counting_manager.snapshot_meta("m", store) == ({"Counting": {"HIGH"}}, 2)
-    assert counting_manager.snapshot_meta("m", store) == ({"Counting": {"HIGH"}}, 2)
+    assert counting_manager.snapshot_meta() == ({"Counting": {"HIGH"}}, 2)
+    assert counting_manager.snapshot_meta() == ({"Counting": {"HIGH"}}, 2)
     assert _Counting.evaluations == 2
 
 
-def test_memo_tells_stores_at_the_same_epoch_apart(counting_manager):
-    low, high = ConcreteValueStore(), ConcreteValueStore()
-    low.set("Counting", "level", 1)
-    high.set("Counting", "level", 9)
-    assert low.epoch == high.epoch
-    assert counting_manager.snapshot_meta("m", low)[0] == {"Counting": {"LOW"}}
-    assert counting_manager.snapshot_meta("m", high)[0] == {"Counting": {"HIGH"}}
-    assert counting_manager.snapshot_meta("m", low)[0] == {"Counting": {"LOW"}}
-
-
-def test_snapshot_object_is_kept_across_meta_neutral_writes(counting_manager):
-    store = ConcreteValueStore()
+def test_snapshot_object_is_kept_across_meta_neutral_writes(counting_manager, store):
     store.set("Counting", "level", 1)
-    low, epoch = counting_manager.snapshot_meta("m", store)
+    low, epoch = counting_manager.snapshot_meta()
     store.set("Counting", "level", 2)  # still LOW
-    same, neutral_epoch = counting_manager.snapshot_meta("m", store)
+    same, neutral_epoch = counting_manager.snapshot_meta()
     assert same is low
     assert neutral_epoch == epoch + 1
     store.set("Counting", "level", 9)
-    high, changed_epoch = counting_manager.snapshot_meta("m", store)
+    high, changed_epoch = counting_manager.snapshot_meta()
     assert high is not low
     assert changed_epoch == neutral_epoch + 1
     assert (low, high) == ({"Counting": {"LOW"}}, {"Counting": {"HIGH"}})
     assert _Counting.evaluations == 3
-    # another store with the same metas gets its own snapshot object
-    other = ConcreteValueStore()
-    other.set("Counting", "level", 9)
-    assert counting_manager.snapshot_meta("m", other)[0] is not high
 
 
-def test_narrowed_snapshot_is_one_view_per_snapshot_object(counting_manager):
-    counting_manager.register_module_contexts("m", ("Counting", "Weather"))
-    store = ConcreteValueStore()
+def test_narrowed_snapshot_is_one_view_per_snapshot_object(counting, store):
+    manager = ContextManager(store, ("Counting", "Weather"))
     store.set("Counting", "level", 1)
-    full, epoch = counting_manager.snapshot_meta("m", store)
-    low, low_epoch = counting_manager.snapshot_meta("m", store, ("Counting",))
+    full, epoch = manager.snapshot_meta()
+    low, low_epoch = manager.snapshot_meta(("Counting",))
     assert (low, low_epoch) == ({"Counting": {"LOW"}}, epoch)
-    assert counting_manager.snapshot_meta("m", store, ("Counting",))[0] is low
+    assert manager.snapshot_meta(("Counting",))[0] is low
     with pytest.raises(TypeError):
         low["Weather"] = frozenset({"CLEAR"})
     store.set("Counting", "level", 2)  # still LOW
-    same, neutral_epoch = counting_manager.snapshot_meta("m", store, ("Counting",))
+    same, neutral_epoch = manager.snapshot_meta(("Counting",))
     assert same is low
     assert neutral_epoch == epoch + 1
     store.set("Counting", "level", 9)
-    high, _ = counting_manager.snapshot_meta("m", store, ("Counting",))
+    high, _ = manager.snapshot_meta(("Counting",))
     assert high is not low
     assert high == {"Counting": {"HIGH"}}
-    assert counting_manager.snapshot_meta("m", store, ("Weather",))[0] == {
-        "Weather": {"CLEAR"}
-    }
-    assert counting_manager.snapshot_meta("m", store)[0] == {
-        "Counting": {"HIGH"}, "Weather": {"CLEAR"}
-    }
+    assert manager.snapshot_meta(("Weather",))[0] == {"Weather": {"CLEAR"}}
+    assert manager.snapshot_meta()[0] == {"Counting": {"HIGH"}, "Weather": {"CLEAR"}}
     assert full == {"Counting": {"LOW"}, "Weather": {"CLEAR"}}
     assert _Counting.evaluations == 3
-
-
-def test_reregistration_resets_the_memo(counting_manager):
-    store = ConcreteValueStore()
-    store.set("Weather", "rainfall_mm", 7.0)
-    assert counting_manager.snapshot_meta("m", store)[0] == {"Counting": {"LOW"}}
-    counting_manager.register_module_contexts("m", ("Weather",))
-    assert counting_manager.snapshot_meta("m", store)[0] == {"Weather": {"RAINY"}}
-    counting_manager.register_module_contexts("m", ("Counting",))
-    counting_manager.snapshot_meta("m", store)
-    assert _Counting.evaluations == 2
 
 
 def test_raising_descriptor_raises_on_every_call():
     register_context("Exploding", _Exploding)
     try:
-        manager = ContextManager()
-        manager.register_module_contexts("m", ("Exploding",))
-        store = ConcreteValueStore()
+        manager = ContextManager(ConcreteValueStore(), ("Exploding",))
         for _ in range(3):
             with pytest.raises(ContextEvaluationError):
-                manager.snapshot_meta("m", store)
+                manager.snapshot_meta()
     finally:
         unregister_context("Exploding")
 
 
 def test_memoised_snapshot_is_read_only(counting_manager):
-    store = ConcreteValueStore()
-    snap, _ = counting_manager.snapshot_meta("m", store)
+    snap, _ = counting_manager.snapshot_meta()
     with pytest.raises(TypeError):
         snap["Counting"] = frozenset({"HIGH"})
     with pytest.raises(TypeError):
         del snap["Counting"]
-    assert counting_manager.snapshot_meta("m", store)[0] == {"Counting": {"LOW"}}
+    assert counting_manager.snapshot_meta()[0] == {"Counting": {"LOW"}}
 
 
 # --- ingestion parsing ------------------------------------------------------------

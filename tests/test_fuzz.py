@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import sys
+from decimal import Decimal
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congo.errors import CongoError
 from congo.lowering import compile_source
+from congo.parser import parse_source
+from congo.printer import format_module
 
 # every character the lexer gives a meaning to, plus some it rejects
 _ALPHABET = (
@@ -43,3 +46,21 @@ def test_compile_source_raises_only_congo_errors(with_header, text):
         compile_source(("module m\n" if with_header else "") + text)
     except CongoError:
         pass
+
+
+def _exact_literal(value: float) -> str:
+    """``value`` written out in full positional digits, as ConGo source."""
+    text = format(Decimal(value), "f")
+    return text if "." in text else text + ".0"
+
+
+@settings(max_examples=200, deadline=None)
+@example([1e23, 1e-05, 5e-324, 1.7976931348623157e308])
+@given(st.lists(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(abs),
+    min_size=1, max_size=4,
+))
+def test_float_literals_survive_a_print_parse_round_trip(values):
+    src = "module m\nfunction main = || -> " + " + ".join(map(_exact_literal, values)) + "\n"
+    first = parse_source(src)
+    assert parse_source(format_module(first)) == first

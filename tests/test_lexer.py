@@ -66,6 +66,13 @@ def test_number_literals():
     ]
 
 
+def test_float_literal_too_large_for_a_double_is_a_lex_error():
+    with pytest.raises(LexError) as err:
+        tokenize("x = " + "9" * 400 + ".5")
+    assert err.value.message == "float literal is too large for a double"
+    assert err.value.span.column == 5
+
+
 def test_integer_then_dot_is_not_a_float():
     # "1.x" must lex as INT DOT IDENT so dotted names stay expressible
     kinds = [t.kind for t in tokenize("1.x")[:-1]]
