@@ -202,8 +202,11 @@ def format_table(results: List[BenchResult]) -> str:
     return "\n".join(lines)
 
 
-def results_payload(results: List[BenchResult]) -> Dict:
-    return {
+def results_payload(
+    results: List[BenchResult], checks: Optional[List["PropertyCheck"]] = None
+) -> Dict:
+    """The JSON record of a run; with ``checks``, also each ordering's verdict."""
+    payload = {
         "host": {
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -220,6 +223,12 @@ def results_payload(results: List[BenchResult]) -> Dict:
             for r in results
         ],
     }
+    if checks is not None:
+        payload["checks"] = [
+            {"name": c.name, "verdict": "PASS" if c.passed else "FAIL", "detail": c.detail}
+            for c in checks
+        ]
+    return payload
 
 
 # --- throughput ordering checks -------------------------------------------------

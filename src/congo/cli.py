@@ -105,6 +105,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    status, checks = 0, None
     try:
         if args.check:
             report = run_property_checks(
@@ -113,22 +114,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 measure_iters=max(args.measure, 3),
             )
             print(report.format())
-            print(format_table(list(report.results.values())))
-            return 0 if report.all_passed else 1
-        config = BenchConfig(
-            warmup_iters=args.warmup,
-            measure_iters=args.measure,
-            iter_duration=args.duration,
-            mode=_MODES[args.mode],
-            cache=_CACHES[args.cache],
-            benchmarks=tuple(args.benchmarks),
-        )
-        results = run_benchmarks(config)
+            results, checks = list(report.results.values()), report.checks
+            status = 0 if report.all_passed else 1
+        else:
+            results = run_benchmarks(BenchConfig(
+                warmup_iters=args.warmup,
+                measure_iters=args.measure,
+                iter_duration=args.duration,
+                mode=_MODES[args.mode],
+                cache=_CACHES[args.cache],
+                benchmarks=tuple(args.benchmarks),
+            ))
         print(format_table(results))
         if args.json_out:
             try:
                 with open(args.json_out, "w", encoding="utf-8") as handle:
-                    json.dump(results_payload(results), handle, indent=2)
+                    json.dump(results_payload(results, checks), handle, indent=2)
                     handle.write("\n")
             except OSError as exc:
                 raise ReadError(f"cannot write {args.json_out}: {exc.strerror}") from None
@@ -138,7 +139,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except CongoError as exc:
         _print_error(exc)
         return 1
-    return 0
+    return status
 
 
 def main(argv: Optional[List[str]] = None) -> int:

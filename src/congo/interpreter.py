@@ -1,10 +1,12 @@
 """Closure-compiled runtime: values, dynamic objects, and contextual dispatch.
 
 Each lambda body is compiled once, on the lambda's first call, into nested
-Python closures of the form ``fn(interp, env)`` (Feeley & Lapalme, *Using
+Python closures of the form ``fn(interp, frame)`` (Feeley & Lapalme, *Using
 Closures for Code Generation*, Computer Languages 12(1), 1987) and cached on
-the :class:`~congo.nodes.Lambda` node.  Names still resolve at run time
-through per-block :class:`Environment` scopes and their parent chain.
+the :class:`~congo.nodes.Lambda` node.  The compiler resolves every name
+to frame slots (lexical addressing, Abelson & Sussman, *SICP* §5.5.6): a
+call runs on a plain list ``[parent frame, parameters..., lets...]``, and
+only a block that declares a ``let`` gets a frame of its own.
 
 A contextual call never selects its own variant chain.  The site
 snapshots the meta context once, builds an :class:`InvocationRequest`,
@@ -94,24 +96,10 @@ class RunConfig:
 # --- values -----------------------------------------------------------------
 
 
-class Environment:
-    """One block scope; a name is looked up here, then in each parent."""
-
-    __slots__ = ("parent", "vars")
-
-    def __init__(
-        self,
-        parent: Optional["Environment"] = None,
-        bindings: Optional[Dict[str, object]] = None,
-    ):
-        self.parent = parent
-        self.vars: Dict[str, object] = {} if bindings is None else bindings
-
-
 @dataclass(eq=False)
 class FunctionValue:
     lam: nodes.Lambda
-    env: Environment
+    frame: list  # the frame the lambda closes over
     name: str = "<lambda>"
 
 
@@ -330,7 +318,7 @@ class Runtime:
                 table,
                 fn.lam,
                 declared_contexts=self._lowered.context_ctors,
-                closure_env=fn.env,
+                closure_frame=fn.frame,
                 span=span,
             )
         except CongoError:
@@ -382,7 +370,7 @@ class Runtime:
         """Run a function or method: its base if it has no layers, else dispatch."""
         if not table.layers:
             base = table.base
-            return self._invoke(base.body, base.closure_env, base.variant_id.mangled_name,
+            return self._invoke(base.body, base.closure_frame, base.variant_id.mangled_name,
                                 span, (), args, receiver)
         guard = self._config.cache_policy is CachePolicy.EPOCH_GUARD
         if guard:
@@ -393,7 +381,7 @@ class Runtime:
             if site is not None and site[1] == self.store.epoch and site[2] == receiver_key:
                 chain = site[0]
                 first = chain[0]
-                return self._invoke(first.body, first.closure_env,
+                return self._invoke(first.body, first.closure_frame,
                                     first.variant_id.mangled_name, span, chain[1:],
                                     args, receiver)
 
@@ -442,13 +430,13 @@ class Runtime:
         if guard:
             self._sites[site_key] = (chain, epoch, receiver_key)
         first = chain[0]
-        return self._invoke(first.body, first.closure_env, first.variant_id.mangled_name,
+        return self._invoke(first.body, first.closure_frame, first.variant_id.mangled_name,
                             span, chain[1:], args, receiver)
 
     def _invoke(
         self,
         lam: nodes.Lambda,
-        closure_env: Optional[Environment],  # None for module functions
+        closure: Optional[list],  # the frame it closes over, None at module level
         name: str,
         span,
         remaining: Optional[Tuple[Variant, ...]],  # None for a local lambda
@@ -458,26 +446,19 @@ class Runtime:
         """Run one ConGo body: a variant, whose ``remaining`` chain proceed()
         steps into, or a local lambda.  The last five arguments are its
         call-stack entry; a method's receiver is its first parameter."""
-        values = (receiver, *args) if receiver is not None else args
-        params = lam.params
-        if len(values) != len(params):
+        frame = [closure, *args] if receiver is None else [closure, receiver, *args]
+        if len(frame) != len(lam.params) + 1:
             raise CallArityError(
-                f"'{name}' expects {len(params)} argument(s), got {len(values)}", span
+                f"'{name}' expects {len(lam.params)} argument(s), got {len(frame) - 1}",
+                span,
             )
-        # a dict display is several times cheaper than dict(zip(...))
-        if len(params) == 1:
-            bindings = {params[0]: values[0]}
-        elif len(params) == 2:
-            bindings = {params[0]: values[0], params[1]: values[1]}
-        else:
-            bindings = dict(zip(params, values))
         stack = self._stack
         stack.append((name, span, remaining, args, receiver))
         try:
             code = lam.code
             if code is None:  # first call: compile once, for every runtime
                 code = lam.code = _compile_lambda(lam)
-            return code(self, Environment(closure_env, bindings))
+            return code(self, frame)
         except CongoRuntimeError as exc:
             if exc.call_stack is None:
                 exc.call_stack = tuple(map(_NAME_AND_SPAN, stack))
@@ -566,20 +547,76 @@ class Runtime:
 
 # --- closure compiler ------------------------------------------------------------
 #
-# Every closure takes (interp, env), interp being the started Runtime, and
-# captures only AST field values and other closures, never a runtime, store,
-# bus or scope: tables and lambdas are shared by every runtime built from
-# one LoweredModule.  An expression closure returns its value.  A statement
-# closure returns _NEXT to fall through to the next statement, or the value
-# of a ``return``.
+# Every closure takes (interp, frame), interp being the started Runtime and
+# frame the innermost run-time frame, a list [parent frame, slots...].  It
+# captures only AST field values, slot addresses and other closures, never a
+# runtime, store, bus or frame: tables and lambdas are shared by every
+# runtime built from one LoweredModule.  An expression closure returns its
+# value.  A statement closure returns _NEXT to fall through to the next
+# statement, or the value of a ``return``.
+#
+# A call's frame holds the parameters and the lets of the body's top block.
+# Any other block that declares a let gets a fresh frame each time it runs,
+# so the closures of a loop iteration capture that iteration.  A let slot
+# holds _UNBOUND until its let runs.  A name resolves to the slot of every
+# enclosing frame that declares it, innermost first, and the first bound one
+# is the binding: a let shadows only once it has run.
 
 _NEXT = object()
+_UNBOUND = object()
+
+
+class _Scope:
+    """The compile-time view of one frame: the slot index of each name in it."""
+
+    __slots__ = ("parent", "slots", "params", "padding")
+
+    def __init__(self, parent: Optional["_Scope"], params: Sequence[str],
+                 lets: Sequence[str]):
+        self.parent = parent
+        self.slots = {name: i for i, name in enumerate(params, 1)}
+        self.params = len(params)  # slots 1..params are bound on entry
+        for name in lets:
+            self.slots.setdefault(name, len(self.slots) + 1)
+        self.padding = (_UNBOUND,) * (len(self.slots) - self.params)
+
+    def resolve(self, name: str) -> Tuple[Tuple[int, int], ...]:
+        """The (frame depth, slot index) of each slot that may bind ``name``."""
+        found, scope, depth = [], self, 0
+        while scope is not None:
+            index = scope.slots.get(name)
+            if index is not None:
+                found.append((depth, index))
+                if index <= scope.params:
+                    break  # a parameter is always bound
+            scope, depth = scope.parent, depth + 1
+        return tuple(found)
+
+
+def _lets(stmts: Sequence[nodes.Stmt]) -> List[str]:
+    """The names a block's lets bind, in order.  ``$base``, bound only by an
+    after layer's rewrite, goes last: the statements the rewrite wraps keep
+    the slots they have in the lambda it wraps, so a lambda nested in them
+    compiles the same under either."""
+    names = [stmt.name for stmt in stmts if type(stmt) is nodes.LetStmt]
+    return sorted(names, key=lambda name: name.startswith("$"))
+
+
+def _find(frame: list, found: Tuple[Tuple[int, int], ...]):
+    """The frame and index of the first bound slot in ``found``, or None."""
+    depth = 0
+    for at, index in found:
+        while depth < at:
+            frame, depth = frame[0], depth + 1
+        if frame[index] is not _UNBOUND:
+            return frame, index
+    return None
 
 
 def _compile_lambda(lam: nodes.Lambda) -> Callable:
     """Compile ``lam``'s body; a body nested too deep is a StackOverflowError."""
     try:
-        return _compile_body(lam.body)
+        return _compile_body(lam)
     except RecursionError as exc:
         # The compiler recurses once per nesting level.  Unless it used most of
         # the stack itself, the calls that led here did: _invoke reports those.
@@ -589,17 +626,20 @@ def _compile_lambda(lam: nodes.Lambda) -> Callable:
     raise StackOverflowError("block nesting too deep to compile", lam.span)
 
 
-def _compile_body(body: Union[nodes.Block, nodes.Expr]) -> Callable:
-    """The closure that runs a lambda body in the lambda's parameter scope."""
+def _compile_body(lam: nodes.Lambda) -> Callable:
+    """The closure that runs a lambda body in the call's frame."""
+    body = lam.body
     if not isinstance(body, nodes.Block):
-        return _compile(body)
-    stmts = tuple(_compile(stmt) for stmt in body.stmts)
+        return _compile(body, _Scope(lam.outer, lam.params, ()))
+    scope = _Scope(lam.outer, lam.params, _lets(body.stmts))
+    stmts = tuple(_compile(stmt, scope) for stmt in body.stmts)
+    padding = scope.padding
 
-    # The top block runs in the parameter scope itself.  Nothing else can
-    # reach that scope, so a separate child scope would change no lookup.
-    def run_body(interp, env):
+    def run_body(interp, frame):
+        if padding:
+            frame += padding
         for stmt in stmts:
-            result = stmt(interp, env)
+            result = stmt(interp, frame)
             if result is not _NEXT:
                 return result
         return None
@@ -607,34 +647,47 @@ def _compile_body(body: Union[nodes.Block, nodes.Expr]) -> Callable:
     return run_body
 
 
-def _compile(node) -> Callable:
-    return _COMPILERS[type(node)](node)
+def _compile(node, scope: _Scope) -> Callable:
+    return _COMPILERS[type(node)](node, scope)
 
 
-def _compile_constant(expr) -> Callable:
+def _compile_constant(expr, scope: _Scope) -> Callable:
     value = expr.value
-    return lambda interp, env: value
+    return lambda interp, frame: value
 
 
-def _compile_null(expr: nodes.NullLit) -> Callable:
-    return lambda interp, env: None
+def _compile_null(expr: nodes.NullLit, scope: _Scope) -> Callable:
+    return lambda interp, frame: None
 
 
-def _compile_ident(expr: nodes.Ident) -> Callable:
+def _compile_ident(expr: nodes.Ident, scope: _Scope) -> Callable:
     name, span = expr.name, expr.span
+    found = scope.resolve(name)
+    if len(found) == 1 and found[0][0] <= 1:  # a slot of this frame or its parent
+        depth, index = found[0]
+        if depth == 0 and index <= scope.params:
+            return lambda interp, frame: frame[index]
 
-    def ident(interp, env):
-        while env is not None:
-            if name in env.vars:
-                return env.vars[name]
-            env = env.parent
-        raise UnknownVariableError(f"unknown variable '{name}'", span)
+        def slot(interp, frame):
+            value = (frame[0] if depth else frame)[index]
+            if value is _UNBOUND:
+                raise UnknownVariableError(f"unknown variable '{name}'", span)
+            return value
+
+        return slot
+
+    def ident(interp, frame):
+        hit = _find(frame, found)
+        if hit is None:
+            raise UnknownVariableError(f"unknown variable '{name}'", span)
+        return hit[0][hit[1]]
 
     return ident
 
 
-def _compile_lambda_value(expr: nodes.Lambda) -> Callable:
-    return lambda interp, env: FunctionValue(expr, env)
+def _compile_lambda_value(expr: nodes.Lambda, scope: _Scope) -> Callable:
+    expr.outer = scope
+    return lambda interp, frame: FunctionValue(expr, frame)
 
 
 # Two ints take these directly: Python's result is ConGo's.  Any other
@@ -646,57 +699,57 @@ _INT_OPS = {
 _INT_DIVISIONS = {"/": operator.floordiv, "%": operator.mod}
 
 
-def _compile_binary(expr: nodes.BinaryOp) -> Callable:
+def _compile_binary(expr: nodes.BinaryOp, scope: _Scope) -> Callable:
     op, span = expr.op, expr.span
-    left, right = _compile(expr.left), _compile(expr.right)
+    left, right = _compile(expr.left, scope), _compile(expr.right, scope)
     if op == "&&" or op == "||":
         settles = op == "||"  # the left value that is the result on its own
 
-        def run(interp, env):
-            a = left(interp, env)
+        def run(interp, frame):
+            a = left(interp, frame)
             if a is not True and a is not False:
                 raise _not_bool(f"left operand of '{op}'", a, span)
             if a is settles:
                 return a
-            b = right(interp, env)
+            b = right(interp, frame)
             if b is True or b is False:
                 return b
             raise _not_bool(f"right operand of '{op}'", b, span)
     elif op in _INT_OPS:
         fast = _INT_OPS[op]
 
-        def run(interp, env):
-            a, b = left(interp, env), right(interp, env)
+        def run(interp, frame):
+            a, b = left(interp, frame), right(interp, frame)
             if type(a) is int and type(b) is int:
                 return fast(a, b)
             return _apply_binary(op, a, b, span)
     elif op in _INT_DIVISIONS:
         divide = _INT_DIVISIONS[op]
 
-        def run(interp, env):
-            a, b = left(interp, env), right(interp, env)
+        def run(interp, frame):
+            a, b = left(interp, frame), right(interp, frame)
             if type(a) is int and type(b) is int and b:
                 return divide(a, b)
             return _apply_binary(op, a, b, span)
     else:
-        def run(interp, env):
-            return _apply_binary(op, left(interp, env), right(interp, env), span)
+        def run(interp, frame):
+            return _apply_binary(op, left(interp, frame), right(interp, frame), span)
     return run
 
 
-def _compile_unary(expr: nodes.UnaryOp) -> Callable:
-    operand, span = _compile(expr.operand), expr.span
+def _compile_unary(expr: nodes.UnaryOp, scope: _Scope) -> Callable:
+    operand, span = _compile(expr.operand, scope), expr.span
     if expr.op == "-":
-        def negate(interp, env):
-            value = operand(interp, env)
+        def negate(interp, frame):
+            value = operand(interp, frame)
             if is_number(value):
                 return -value
             raise CongoTypeError("unary '-' needs a number", span)
 
         return negate
 
-    def not_(interp, env):
-        value = operand(interp, env)
+    def not_(interp, frame):
+        value = operand(interp, frame)
         if value is True or value is False:
             return not value
         raise _not_bool("operand of 'not'", value, span)
@@ -704,54 +757,60 @@ def _compile_unary(expr: nodes.UnaryOp) -> Callable:
     return not_
 
 
-def _compile_args(exprs: Tuple[nodes.Expr, ...]) -> Callable:
+def _compile_args(exprs: Tuple[nodes.Expr, ...], scope: _Scope) -> Callable:
     """A closure that evaluates the arguments left to right into a tuple."""
-    fns = tuple(_compile(e) for e in exprs)
+    fns = tuple(_compile(e, scope) for e in exprs)
     if not fns:
-        return lambda interp, env: ()
+        return lambda interp, frame: ()
     if len(fns) == 1:
         (only,) = fns
-        return lambda interp, env: (only(interp, env),)
+        return lambda interp, frame: (only(interp, frame),)
     if len(fns) == 2:
         first, second = fns
-        return lambda interp, env: (first(interp, env), second(interp, env))
-    return lambda interp, env: tuple([fn(interp, env) for fn in fns])
+        return lambda interp, frame: (first(interp, frame), second(interp, frame))
+    return lambda interp, frame: tuple([fn(interp, frame) for fn in fns])
 
 
-def _compile_call(expr: nodes.Call) -> Callable:
+def _compile_call(expr: nodes.Call, scope: _Scope) -> Callable:
     name, span, site = expr.callee, expr.span, expr.site_id
-    args = _compile_args(expr.args)
+    args = _compile_args(expr.args, scope)
+    found = scope.resolve(name)
 
-    # a local binding first, then the module's function, then a builtin
-    def call(interp, env):
-        scope = env
-        while scope is not None:
-            if name in scope.vars:
-                fn = scope.vars[name]
-                if not isinstance(fn, FunctionValue):
-                    raise CongoTypeError(f"'{name}' is not callable", span)
-                return interp._invoke(
-                    fn.lam, fn.env, fn.name, span, None, args(interp, env), None
-                )
-            scope = scope.parent
+    # the module's function, then a builtin
+    def call(interp, frame):
         table = interp._tables.get(name)
         if table is not None:
-            return interp._call_table(table, None, args(interp, env), span, site)
+            return interp._call_table(table, None, args(interp, frame), span, site)
         builtin = interp._BUILTINS.get(name)
         if builtin is not None:
-            return builtin(interp, args(interp, env), span)
+            return builtin(interp, args(interp, frame), span)
         raise UnknownFunctionError(f"unknown function '{name}'", span)
 
-    return call
+    if not found:
+        return call
+
+    # a bound local first
+    def local_call(interp, frame):
+        hit = _find(frame, found)
+        if hit is None:
+            return call(interp, frame)
+        fn = hit[0][hit[1]]
+        if not isinstance(fn, FunctionValue):
+            raise CongoTypeError(f"'{name}' is not callable", span)
+        return interp._invoke(
+            fn.lam, fn.frame, fn.name, span, None, args(interp, frame), None
+        )
+
+    return local_call
 
 
-def _compile_method(expr: nodes.MethodCall) -> Callable:
+def _compile_method(expr: nodes.MethodCall, scope: _Scope) -> Callable:
     name, span, site = expr.name, expr.span, expr.site_id
-    receiver_of, args = _compile(expr.receiver), _compile_args(expr.args)
+    receiver_of, args = _compile(expr.receiver, scope), _compile_args(expr.args, scope)
     builtin = Runtime._OBJECT_BUILTINS.get(name)
 
-    def method(interp, env):
-        receiver, values = receiver_of(interp, env), args(interp, env)
+    def method(interp, frame):
+        receiver, values = receiver_of(interp, frame), args(interp, frame)
         if not isinstance(receiver, DynObject):
             raise CongoTypeError(
                 f"method call '{name}' on non-object value {stringify(receiver, span)!r}",
@@ -777,11 +836,11 @@ def _compile_method(expr: nodes.MethodCall) -> Callable:
     return method
 
 
-def _compile_proceed(expr: nodes.Proceed) -> Callable:
+def _compile_proceed(expr: nodes.Proceed, scope: _Scope) -> Callable:
     span = expr.span
-    args = _compile_args(expr.args) if expr.args else None
+    args = _compile_args(expr.args, scope) if expr.args else None
 
-    def proceed(interp, env):
+    def proceed(interp, frame):
         _, _, remaining, sent, receiver = interp._stack[-1]
         if remaining is None:
             raise ProceedExhaustedError(
@@ -792,98 +851,120 @@ def _compile_proceed(expr: nodes.Proceed) -> Callable:
                 "proceed called but the variant chain is exhausted", span
             )
         if args is not None:
-            sent = args(interp, env)
+            sent = args(interp, frame)
         step = remaining[0]
-        return interp._invoke(step.body, step.closure_env, step.variant_id.mangled_name,
+        return interp._invoke(step.body, step.closure_frame, step.variant_id.mangled_name,
                               span, remaining[1:], sent, receiver)
 
     return proceed
 
 
-def _compile_let(stmt: nodes.LetStmt) -> Callable:
-    name, value = stmt.name, _compile(stmt.value)
+def _compile_let(stmt: nodes.LetStmt, scope: _Scope) -> Callable:
+    # a let binds a slot of the frame its own block runs in
+    index, value = scope.slots[stmt.name], _compile(stmt.value, scope)
 
-    def let(interp, env):
-        env.vars[name] = value(interp, env)
+    def let(interp, frame):
+        frame[index] = value(interp, frame)
         return _NEXT
 
     return let
 
 
-def _compile_assign(stmt: nodes.AssignStmt) -> Callable:
-    name, value, span = stmt.name, _compile(stmt.value), stmt.span
+def _compile_assign(stmt: nodes.AssignStmt, scope: _Scope) -> Callable:
+    name, value, span = stmt.name, _compile(stmt.value, scope), stmt.span
+    found = scope.resolve(name)
+    if len(found) == 1 and found[0][0] <= 1:
+        depth, index = found[0]
 
-    def assign(interp, env):
-        result = value(interp, env)
-        while env is not None:
-            if name in env.vars:
-                env.vars[name] = result
-                return _NEXT
-            env = env.parent
-        raise UnknownVariableError(
-            f"assignment to undefined variable '{name}'", span
-        )
+        def assign_slot(interp, frame):
+            result = value(interp, frame)
+            if depth:
+                frame = frame[0]
+            if frame[index] is _UNBOUND:
+                raise UnknownVariableError(
+                    f"assignment to undefined variable '{name}'", span
+                )
+            frame[index] = result
+            return _NEXT
+
+        return assign_slot
+
+    def assign(interp, frame):
+        result = value(interp, frame)
+        hit = _find(frame, found)
+        if hit is None:
+            raise UnknownVariableError(
+                f"assignment to undefined variable '{name}'", span
+            )
+        hit[0][hit[1]] = result
+        return _NEXT
 
     return assign
 
 
-def _compile_return(stmt: nodes.ReturnStmt) -> Callable:
+def _compile_return(stmt: nodes.ReturnStmt, scope: _Scope) -> Callable:
     # an expression closure never returns _NEXT, so it is the statement
     if stmt.value is None:
-        return lambda interp, env: None
-    return _compile(stmt.value)
+        return lambda interp, frame: None
+    return _compile(stmt.value, scope)
 
 
-def _compile_if(stmt: nodes.IfStmt) -> Callable:
-    cond, then, span = _compile(stmt.cond), _compile(stmt.then), stmt.span
+def _compile_if(stmt: nodes.IfStmt, scope: _Scope) -> Callable:
+    cond, then, span = _compile(stmt.cond, scope), _compile(stmt.then, scope), stmt.span
     # an else-if runs in this scope; an else block opens its own
-    orelse = _compile(stmt.orelse) if stmt.orelse is not None else None
+    orelse = _compile(stmt.orelse, scope) if stmt.orelse is not None else None
 
-    def if_(interp, env):
-        test = cond(interp, env)
+    def if_(interp, frame):
+        test = cond(interp, frame)
         if test is True:
-            return then(interp, env)
+            return then(interp, frame)
         if test is not False:
             raise _not_bool("if condition", test, span)
-        return _NEXT if orelse is None else orelse(interp, env)
+        return _NEXT if orelse is None else orelse(interp, frame)
 
     return if_
 
 
-def _compile_while(stmt: nodes.WhileStmt) -> Callable:
-    cond, body, span = _compile(stmt.cond), _compile(stmt.body), stmt.span
+def _compile_while(stmt: nodes.WhileStmt, scope: _Scope) -> Callable:
+    cond, body, span = _compile(stmt.cond, scope), _compile(stmt.body, scope), stmt.span
 
-    def while_(interp, env):
+    def while_(interp, frame):
         while True:
-            test = cond(interp, env)
+            test = cond(interp, frame)
             if test is not True:
                 if test is False:
                     return _NEXT
                 raise _not_bool("while condition", test, span)
-            result = body(interp, env)
+            result = body(interp, frame)
             if result is not _NEXT:
                 return result
 
     return while_
 
 
-def _compile_expr_stmt(stmt: nodes.ExprStmt) -> Callable:
-    expr = _compile(stmt.expr)
+def _compile_expr_stmt(stmt: nodes.ExprStmt, scope: _Scope) -> Callable:
+    expr = _compile(stmt.expr, scope)
 
-    def expr_stmt(interp, env):
-        expr(interp, env)
+    def expr_stmt(interp, frame):
+        expr(interp, frame)
         return _NEXT
 
     return expr_stmt
 
 
-def _compile_block(block: nodes.Block) -> Callable:
-    stmts = tuple(_compile(stmt) for stmt in block.stmts)
+def _compile_block(block: nodes.Block, scope: _Scope) -> Callable:
+    # a block without lets runs in the enclosing frame
+    lets = _lets(block.stmts)
+    if lets:
+        scope = _Scope(scope, (), lets)
+    padding = scope.padding if lets else ()
+    stmts = tuple(_compile(stmt, scope) for stmt in block.stmts)
 
-    def run_block(interp, env):
-        scope = Environment(env)
+    def run_block(interp, frame):
+        if padding:
+            frame = [frame, *padding]
         for stmt in stmts:
-            result = stmt(interp, scope)
+            result = stmt(interp, frame)
             if result is not _NEXT:
                 return result
         return _NEXT

@@ -65,8 +65,8 @@ class Variant:
     mode: nodes.LayerMode
     body: nodes.Lambda  # desugared for before/after layers
     arity: int
-    # set by the runtime for object methods, which close over an environment
-    closure_env: object = field(default=None, repr=False, compare=False)
+    # set by the runtime for object methods, which close over a frame
+    closure_frame: object = field(default=None, repr=False, compare=False)
 
 
 class DispatchData(NamedTuple):
@@ -133,7 +133,8 @@ def desugar_lambda(lam: nodes.Lambda, mode: nodes.LayerMode) -> nodes.Lambda:
             *stmts,
             nodes.ReturnStmt(nodes.Ident("$base", sp), sp),
         )
-    return nodes.Lambda(lam.params, None, nodes.Block(new_stmts, sp), sp)
+    # the rewrite resolves its names where the lambda it wraps stands
+    return nodes.Lambda(lam.params, None, nodes.Block(new_stmts, sp), sp, outer=lam.outer)
 
 
 def add_variant(
@@ -141,7 +142,7 @@ def add_variant(
     lam: nodes.Lambda,
     *,
     declared_contexts: Sequence[str],
-    closure_env: object = None,
+    closure_frame: object = None,
     span: Optional[nodes.SourceSpan] = None,
 ) -> Variant:
     """Validate and append one declaration to a variant table.
@@ -168,7 +169,7 @@ def add_variant(
             raise RedefinitionError(f"base of '{name}' is already defined", span)
         variant = Variant(
             VariantId(name, index), (), nodes.LayerMode.REPLACE, lam, arity,
-            closure_env,
+            closure_frame,
         )
         table.base = variant
         return variant
@@ -201,7 +202,7 @@ def add_variant(
         ann.mode,
         desugar_lambda(lam, ann.mode),
         arity,
-        closure_env,
+        closure_frame,
     )
     table.layers.append(variant)
     return variant

@@ -125,6 +125,9 @@ class Lambda:
     span: SourceSpan = field(compare=False)
     # the body's closure, compiled by the interpreter on the first call
     code: Optional[Callable] = field(default=None, compare=False, repr=False)
+    # the compile-time scope the lambda appears in, None at module level;
+    # the interpreter sets it when it compiles the enclosing body
+    outer: object = field(default=None, compare=False, repr=False)
 
 
 # --- statements -----------------------------------------------------------

@@ -324,6 +324,49 @@ def test_bench_json_to_an_unwritable_path_is_one_io_error_line(tmp_path, capsys)
     assert err == f"ERROR Io: cannot write {out_file}: No such file or directory\n"
 
 
+CHECK_ARGS = ("bench", "--check", "--warmup", "1", "--measure", "3", "--duration", "0.02")
+
+
+def test_bench_check_writes_measurements_and_verdicts_to_json(tmp_path, capsys):
+    out_file = tmp_path / "check.json"
+    code = main([*CHECK_ARGS, "--json", str(out_file)])
+    printed = capsys.readouterr().out
+    payload = json.loads(out_file.read_text(encoding="utf-8"))
+    configurations = [(r["benchmark"], r["mode"], r["cache"]) for r in payload["results"]]
+    assert configurations == [
+        ("plain_single", "event", "none"),
+        ("contextual_single", "event", "none"),
+        ("contextual_single", "direct", "none"),
+        ("contextual_single", "event", "guard"),
+        ("contextual_layered10", "event", "none"),
+    ]
+    assert all(r["throughput_ops_per_ms"] > 0 for r in payload["results"])
+    checks = payload["checks"]
+    assert len(checks) == 4
+    for check in checks:
+        assert check["verdict"] in ("PASS", "FAIL")
+        assert f"{check['verdict']}  {check['name']}: {check['detail']}" in printed
+    assert code == (0 if all(c["verdict"] == "PASS" for c in checks) else 1)
+
+
+def test_bench_check_json_to_an_unwritable_path_is_one_io_error_line(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "check.json"
+    assert main([*CHECK_ARGS, "--json", str(out_file)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"ERROR Io: cannot write {out_file}: No such file or directory\n"
+
+
+def test_python_dash_m_congo_runs_a_demo():
+    demo = str(DEMOS / "weather.congo")
+    env = dict(os.environ, PYTHONPATH=str(Path(congo.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "congo", "run", demo],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout != "" and proc.stdout == cli("run", demo).stdout
+
+
 def test_bench_rejects_bad_settings(capsys):
     assert main(["bench", "--warmup", "0"]) == 2
     assert capsys.readouterr().err.startswith("ERROR BenchConfig:")

@@ -236,7 +236,7 @@ def test_lambda_values_and_closures():
     assert run_program(src)[0] == 16
 
 
-# Names resolve at run time through the block scopes, in program order.
+# Names resolve to frame slots at compile time; a let binds only once it has run.
 
 
 def test_methods_defined_in_a_loop_capture_that_iteration():
@@ -317,6 +317,100 @@ def test_local_shadows_module_function_only_after_its_let():
         "}\n"
     )
     assert run_program(src)[0] == 12
+
+
+def test_unknown_names_in_code_that_never_runs_are_no_error():
+    src = (
+        "module m\n"
+        "function main = || {\n"
+        "  if false { println(mystery) mystery = 1 nowhere() }\n"
+        "  return 1\n"
+        "}\n"
+    )
+    assert run_program(src)[0] == 1
+
+
+def test_assignment_before_a_blocks_own_let_updates_the_outer_name():
+    src = (
+        "module m\n"
+        "function main = || {\n"
+        "  let x = 1\n"
+        "  if true {\n"
+        "    x = 5\n"
+        "    let x = 2\n"
+        "    x = x + 10\n"
+        "  }\n"
+        "  return x\n"
+        "}\n"
+    )
+    assert run_program(src)[0] == 5
+
+
+def test_closure_called_before_the_let_it_reads_is_an_unknown_variable():
+    src = (
+        "module m\n"
+        "function main = || {\n"
+        "  let f = || -> later\n"
+        "  f()\n"
+        "  let later = 1\n"
+        "}\n"
+    )
+    with pytest.raises(UnknownVariableError) as err:
+        run_program(src)
+    assert err.value.message == "unknown variable 'later'"
+    assert (err.value.span.line, err.value.span.column) == (3, 17)
+
+
+def test_assignment_to_a_name_bound_nowhere_keeps_its_message_and_span():
+    src = "module m\nfunction main = || {\n  let x = 1\n  y = 3\n}\n"
+    with pytest.raises(UnknownVariableError) as err:
+        run_program(src)
+    assert err.value.message == "assignment to undefined variable 'y'"
+    assert (err.value.span.line, err.value.span.column) == (4, 3)
+
+
+def test_defined_before_and_after_layers_read_an_enclosing_local():
+    src = (
+        "module m\n"
+        "contexts = [Weather(), Battery()]\n"
+        "function main = || {\n"
+        "  let tag = \"seen\"\n"
+        "  let o = DynamicObject()\n"
+        "  o: define(\"get\", |this| -> \"base\")\n"
+        "  o: define(\"get\", |this| @(Weather=RAINY)+ { println(\"before \" + tag) })\n"
+        "  o: define(\"get\", |this| +@(Battery=LOW) { println(\"after \" + tag) })\n"
+        "  return o: get()\n"
+        "}\n"
+    )
+    initial = [("Weather", "rainfall_mm", 7.0), ("Battery", "charge_pct", 10.0)]
+    assert run_program(src, initial=initial) == ("base", ["before seen", "after seen"])
+
+
+def test_after_layer_and_the_lambda_it_wraps_share_a_nested_lambda():
+    # the lambda nested in the layer's body is compiled once, by whichever
+    # of the two bodies calls it first, and must read the same slots in both
+    src = (
+        "module m\n"
+        "contexts = [Weather()]\n"
+        "function main = |first| {\n"
+        "  let o = DynamicObject()\n"
+        "  o: define(\"get\", |this| -> \"base\")\n"
+        "  let layer = |this| +@(Weather=RAINY) {\n"
+        "    let a = 1\n"
+        "    let b = 2\n"
+        "    let g = || -> b\n"
+        "    println(\"g \" + g())\n"
+        "  }\n"
+        "  o: define(\"get\", layer)\n"
+        "  if first { layer(o) return o: get() }\n"
+        "  let r = o: get()\n"
+        "  layer(o)\n"
+        "  return r\n"
+        "}\n"
+    )
+    initial = [("Weather", "rainfall_mm", 7.0)]
+    for first in (True, False):
+        assert run_program(src, args=(first,), initial=initial) == ("base", ["g 2", "g 2"])
 
 
 def test_recursion():
