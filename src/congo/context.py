@@ -23,6 +23,7 @@ from .errors import ContextEvaluationError, FeedError, UnknownContextCtorError
 Scalar = Union[bool, int, float, str]
 
 _META_SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_MAX_STATES = 256  # the most meta states one ContextManager keeps snapshots of
 
 
 def is_scalar(value: object) -> bool:
@@ -156,8 +157,10 @@ class ContextManager:
     def __init__(self, store: ConcreteValueStore, ctor_names) -> None:
         self._store = store
         self._descriptors = tuple(create_context(n) for n in ctor_names)
-        # (epoch, read-only snapshot, {only: read-only view}) of the last
-        # evaluation, or None before the first
+        # meta state (the evaluated frozensets, in descriptor order) ->
+        # (read-only snapshot, {only: read-only view}): one entry per state
+        self._states: Dict[Tuple[FrozenSet[str], ...], Tuple[Mapping, Dict]] = {}
+        # (epoch, snapshot, views) of the last evaluation, or None before the first
         self._memo: Optional[Tuple[int, Mapping, Dict]] = None
 
     def snapshot_meta(
@@ -165,13 +168,11 @@ class ContextManager:
     ) -> Tuple[Mapping[str, FrozenSet[str]], int]:
         """The meta snapshot of the store and the epoch it was taken at.
 
-        Descriptors are evaluated once per store epoch: while the store is
-        at the epoch of the last evaluation, that read-only snapshot is
-        returned again.  When a new epoch's evaluation equals that
-        snapshot, the same object is returned with the new epoch, so
-        snapshot identity changes only when some meta does.  So does that
-        of the view narrowed to ``only`` (a receiver's ``contexts(...)``):
-        each snapshot object keeps one read-only view per ``only``.
+        Descriptors are evaluated once per store epoch.  Equal meta states
+        are one read-only snapshot object, whatever the epochs between
+        them, so snapshot identity changes only when some meta does.  So
+        does that of the view narrowed to ``only`` (a receiver's
+        ``contexts(...)``): each snapshot object keeps one view per ``only``.
         """
         memo = self._memo
         if memo is None or memo[0] != self._store.epoch:
@@ -196,10 +197,13 @@ class ContextManager:
                             f"symbol: {symbol!r}",
                         )
                 snapshot[descriptor.name] = metas
-            if memo is None or memo[1] != snapshot:
-                memo = (epoch, types.MappingProxyType(snapshot), {})
-            # a meta-neutral write keeps the snapshot object and its views
-            memo = self._memo = (epoch, memo[1], memo[2])
+            state = tuple(snapshot.values())
+            entry = self._states.get(state)
+            if entry is None:
+                if len(self._states) >= _MAX_STATES:
+                    self._states = {}
+                entry = self._states[state] = (types.MappingProxyType(snapshot), {})
+            memo = self._memo = (epoch, *entry)
         if only is None:
             return memo[1], memo[0]
         views = memo[2]

@@ -97,6 +97,7 @@ class DecisionMaker(ABC):
 
 
 _NO_METAS: frozenset = frozenset()
+_MEMO_CAP = 1024  # the most chains one DefaultDecisionMaker keeps
 _VARIANT_ID = itertools.repeat(VariantId)  # isinstance's second argument, for map()
 
 
@@ -112,31 +113,30 @@ class DefaultDecisionMaker(DecisionMaker):
     and ``request.meta_snapshot``, so it is memoised per pair of those
     objects: indexed by their ``id()``s, holding both (so neither address
     can be reused while the entry lives) and hit only when both are the
-    request's own objects (``is``).  The first miss at a new
-    ``snapshot_epoch`` drops the memo, so it holds at most the tables
-    decided under the snapshots sent since then.  A sent snapshot must not
-    change (the interpreter's are read-only).  Failures are not memoised.
-    Other makers have no memo: each decided call calls them.
-
-    A maker shared by runtimes whose stores stand at different epochs stays
-    correct, but decides anew on every call: each miss drops the others' memo.
+    request's own objects (``is``).  Equal meta states are one snapshot
+    object (see ``ContextManager.snapshot_meta``), so a meta state that
+    recurs hits at any epoch, and runtimes sharing the maker keep their
+    entries side by side.  The memo is emptied when it reaches
+    ``_MEMO_CAP`` entries.  A sent snapshot must not change
+    (the interpreter's are read-only).  Failures are not memoised.  Other
+    makers have no memo: each decided call calls them.
     """
 
     def __init__(self) -> None:
-        # (epoch, {(id(snapshot), id(variants)): (snapshot, variants, chain)}); for
+        # {(id(snapshot), id(variants)): (snapshot, variants, chain)}; for
         # threads sharing a maker, read via one local and replaced in one store
-        self._memo: Tuple[object, Dict] = (None, {})
+        self._memo: Dict[Tuple[int, int], Tuple] = {}
 
     def decide(self, request: InvocationRequest) -> DecisionResponse:
         snapshot, variants = request.meta_snapshot, request.variants
         key = (id(snapshot), id(variants))
         memo = self._memo
-        entry = memo[1].get(key)
+        entry = memo.get(key)
         if entry is None or entry[0] is not snapshot or entry[1] is not variants:
             chain = self._chain(request)
-            if memo[0] != request.snapshot_epoch:
-                memo = self._memo = (request.snapshot_epoch, {})
-            entry = memo[1][key] = (snapshot, variants, chain)
+            if len(memo) >= _MEMO_CAP:
+                memo = self._memo = {}
+            entry = memo[key] = (snapshot, variants, chain)
         return DecisionResponse(request.request_id, entry[2], request.snapshot_epoch)
 
     def _chain(self, request: InvocationRequest) -> Tuple[VariantId, ...]:

@@ -53,7 +53,6 @@ from .decision import (
 )
 from .errors import (
     CallArityError,
-    CongoError,
     CongoRuntimeError,
     CongoTypeError,
     ContextEvaluationError,
@@ -312,19 +311,15 @@ class Runtime:
         name, fn = args
         if name in self._OBJECT_BUILTINS:
             raise RedefinitionError(f"'{name}' is a reserved method name", span)
-        table = obj.methods.setdefault(name, VariantTable(name))
-        try:
-            add_variant(
-                table,
-                fn.lam,
-                declared_contexts=self._lowered.context_ctors,
-                closure_frame=fn.frame,
-                span=span,
-            )
-        except CongoError:
-            if not table.variants():
-                del obj.methods[name]
-            raise
+        table = obj.methods.get(name) or VariantTable(name)
+        add_variant(
+            table,
+            fn.lam,
+            declared_contexts=self._lowered.context_ctors,
+            closure_frame=fn.frame,
+            span=span,
+        )
+        obj.methods[name] = table  # only once it holds a variant
         obj.version += 1
         return obj
 

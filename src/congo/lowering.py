@@ -116,10 +116,14 @@ class VariantTable:
         return data
 
 
-def desugar_lambda(lam: nodes.Lambda, mode: nodes.LayerMode) -> nodes.Lambda:
-    """Rewrite a before/after layer body into replace form."""
+def desugar_lambda(lam: nodes.Lambda) -> nodes.Lambda:
+    """Rewrite a before/after layer body into replace form, once per lambda:
+    every variant ``define``d from one lambda shares one body."""
+    mode = lam.annotation.mode
     if mode is nodes.LayerMode.REPLACE:
         return lam
+    if lam.desugared is not None:
+        return lam.desugared
     sp = lam.span
     if isinstance(lam.body, nodes.Block):
         stmts: Tuple[nodes.Stmt, ...] = lam.body.stmts
@@ -134,7 +138,9 @@ def desugar_lambda(lam: nodes.Lambda, mode: nodes.LayerMode) -> nodes.Lambda:
             nodes.ReturnStmt(nodes.Ident("$base", sp), sp),
         )
     # the rewrite resolves its names where the lambda it wraps stands
-    return nodes.Lambda(lam.params, None, nodes.Block(new_stmts, sp), sp, outer=lam.outer)
+    body = nodes.Block(new_stmts, sp)
+    lam.desugared = nodes.Lambda(lam.params, None, body, sp, outer=lam.outer)
+    return lam.desugared
 
 
 def add_variant(
@@ -200,7 +206,7 @@ def add_variant(
         VariantId(mangled, index),
         constraints,
         ann.mode,
-        desugar_lambda(lam, ann.mode),
+        desugar_lambda(lam),
         arity,
         closure_frame,
     )

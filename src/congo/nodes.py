@@ -128,6 +128,8 @@ class Lambda:
     # the compile-time scope the lambda appears in, None at module level;
     # the interpreter sets it when it compiles the enclosing body
     outer: object = field(default=None, compare=False, repr=False)
+    # the replace-form rewrite of a before/after layer, built once by lowering
+    desugared: Optional["Lambda"] = field(default=None, compare=False, repr=False)
 
 
 # --- statements -----------------------------------------------------------

@@ -293,6 +293,25 @@ def test_demos_run_clean(demo, capsys):
     assert capsys.readouterr().out != ""
 
 
+# the --set seeds the README shows
+README_SEEDS = ((), ("ConfusedHero.confused=true",), ("Weather.rainfall_mm=7.0",))
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.congo")), ids=lambda p: p.stem)
+def test_demos_print_the_same_lines_in_every_configuration(demo, capsys):
+    for seed in README_SEEDS:
+        flags = [arg for assignment in seed for arg in ("--set", assignment)]
+        outputs = {}
+        for dispatch in ("event", "direct"):
+            for cache in ("none", "guard"):
+                argv = ["run", str(demo), "--dispatch", dispatch, "--cache", cache]
+                assert main(argv + flags) == 0
+                outputs[dispatch, cache] = capsys.readouterr().out
+        expected = outputs["event", "none"]
+        assert expected != ""
+        assert outputs == dict.fromkeys(outputs, expected), seed
+
+
 def test_bench_table_and_json(tmp_path, capsys):
     out_file = tmp_path / "results.json"
     code = main(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congo.context import (
+    _MAX_STATES,
     BatteryContext,
     ConcreteValueStore,
     ConfusedHeroContext,
@@ -282,6 +283,48 @@ def test_narrowed_snapshot_is_one_view_per_snapshot_object(counting, store):
     assert manager.snapshot_meta()[0] == {"Counting": {"HIGH"}, "Weather": {"CLEAR"}}
     assert full == {"Counting": {"LOW"}, "Weather": {"CLEAR"}}
     assert _Counting.evaluations == 3
+
+
+def test_a_meta_state_seen_before_is_the_same_snapshot_object(counting, store):
+    manager = ContextManager(store, ("Counting", "Weather"))
+    store.set("Counting", "level", 1)
+    low, _ = manager.snapshot_meta()
+    narrow_low, _ = manager.snapshot_meta(("Counting",))
+    store.set("Counting", "level", 9)
+    high, _ = manager.snapshot_meta()
+    store.set("Counting", "level", 3)  # LOW again, two epochs on
+    again, epoch = manager.snapshot_meta()
+    assert (again is low, high is low, epoch) == (True, False, 3)
+    assert manager.snapshot_meta(("Counting",))[0] is narrow_low
+    assert _Counting.evaluations == 3
+
+
+class _Echo:
+    name = "Echo"
+
+    def evaluate(self, view):
+        return {"V%d" % view.get("Echo", "v", 0)}
+
+
+def test_state_table_is_emptied_when_it_reaches_its_cap(store):
+    register_context("Echo", _Echo)
+    try:
+        manager = ContextManager(store, ("Echo",))
+        first, _ = manager.snapshot_meta()
+        for v in range(1, _MAX_STATES):
+            store.set("Echo", "v", v)
+            manager.snapshot_meta()
+        assert len(manager._states) == _MAX_STATES
+        store.set("Echo", "v", 0)
+        assert manager.snapshot_meta()[0] is first
+        store.set("Echo", "v", _MAX_STATES)  # one state too many: start afresh
+        assert manager.snapshot_meta()[0] == {"Echo": {"V%d" % _MAX_STATES}}
+        assert len(manager._states) == 1
+        store.set("Echo", "v", 0)
+        again, _ = manager.snapshot_meta()
+        assert again == first and again is not first
+    finally:
+        unregister_context("Echo")
 
 
 def test_raising_descriptor_raises_on_every_call():

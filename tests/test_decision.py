@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from congo.bus import Message, MessageBus, Topic
 from congo.context import ContextChanged
 from congo.decision import (
+    _MEMO_CAP,
     CountingDecisionMaker,
     DecisionFailure,
     DecisionMaker,
@@ -300,16 +301,23 @@ def test_memo_never_answers_for_a_freed_table_at_its_address():
         del variants  # free it before the next one is built
 
 
-def test_memo_is_dropped_on_a_miss_at_a_new_epoch():
-    variants = (base_spec(), layer_spec("f", [("C", "ON")], 1))
-    on, off = {"C": frozenset({"ON"})}, {"C": frozenset()}
+def test_memo_is_emptied_when_it_reaches_its_cap():
+    on = {"C": frozenset({"ON"})}
+    tables = [
+        (base_spec(), layer_spec("f", [("C", "ON")], 1)) for _ in range(_MEMO_CAP + 1)
+    ]
     dm = _MissCounting()
-    dm.decide(_request_with(variants, on, 1))
-    assert chain_names(dm.decide(_request_with(variants, off, 2))) == ["f"]
-    assert dm.misses == 2
-    assert [entry[0] for entry in dm._memo[1].values()] == [off]
-    assert dm.decide(_request_with(variants, on, 3)).chain[0].declaration_index == 1
-    assert dm.misses == 3
+    for epoch, variants in enumerate(tables[:-1]):
+        dm.decide(_request_with(variants, on, epoch))
+    assert len(dm._memo) == _MEMO_CAP
+    # no epoch drops it: the first table still hits, at an epoch never sent
+    assert dm.decide(_request_with(tables[0], on, 5000)).epoch == 5000
+    assert dm.misses == _MEMO_CAP
+    # one more table starts it afresh
+    dm.decide(_request_with(tables[-1], on, 1))
+    assert list(dm._memo) == [(id(on), id(tables[-1]))]
+    assert dm.decide(_request_with(tables[0], on, 1)).chain[0].declaration_index == 1
+    assert dm.misses == _MEMO_CAP + 2
 
 
 def test_no_applicable_variant_is_not_memoised():
@@ -320,7 +328,7 @@ def test_no_applicable_variant_is_not_memoised():
         with pytest.raises(NoApplicableVariantError):
             dm.decide(_request_with(variants, snapshot, 1))
     assert dm.misses == 3
-    assert dm._memo[1] == {}
+    assert dm._memo == {}
 
 
 # --- counting wrapper -----------------------------------------------------------

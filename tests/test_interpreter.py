@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+from congo import interpreter as interpreter_module
 from congo.decision import (
+    _MEMO_CAP,
     REQUEST_PATTERN,
     CountingDecisionMaker,
     DecisionMaker,
@@ -1616,6 +1618,141 @@ def test_a_thousand_short_lived_objects_each_run_their_own_chain(mode):
     )
     assert result == sum((2 * k, k, k + 5)[k % 3] for k in range(1000))
     assert len(dm.misses) == 1000
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_a_meta_state_that_recurs_is_its_first_snapshot_and_decision(mode):
+    src = (
+        "module m\n"
+        "contexts = [Weather()]\n"
+        "function f = |x| -> x\n"
+        "function f = |x| @(Weather=RAINY) -> proceed(x + 100)\n"
+        "function main = || {\n"
+        "  let acc = f(1)\n"
+        "  setConcrete(\"Weather\", \"rainfall_mm\", 7.0)\n"
+        "  acc = acc + f(2)\n"
+        "  setConcrete(\"Weather\", \"rainfall_mm\", 0.0)\n"
+        "  acc = acc + f(3)\n"
+        "  setConcrete(\"Weather\", \"rainfall_mm\", 9.0)\n"
+        "  return acc + f(4)\n"
+        "}\n"
+    )
+    snapshots = []
+
+    class Recording(_MissCounting):
+        def decide(self, request):
+            snapshots.append(request.meta_snapshot)
+            return super().decide(request)
+
+    dm = Recording()
+    result, _ = run_program(src, mode=mode, decision_maker=dm)
+    assert result == 1 + 102 + 3 + 104
+    clear, rainy, clear_again, rainy_again = snapshots
+    assert clear_again is clear and rainy_again is rainy and rainy is not clear
+    assert dm.misses == ["f", "f"]
+
+
+def test_one_maker_shared_by_runtimes_at_different_epochs_decides_once_each():
+    src = (
+        "module m\n"
+        "contexts = [Weather()]\n"
+        "function f = |x| -> x\n"
+        "function f = |x| @(Weather=RAINY) -> proceed(x + 100)\n"
+    )
+    lowered = compile_source(src, file="<test>")
+    dm = _MissCounting()
+    seeds = ([("Weather", "rainfall_mm", 7.0)],
+             [("Weather", "rainfall_mm", 7.0), ("Weather", "rainfall_mm", 8.0)])
+    runtimes = [
+        Runtime(lowered, RunConfig(dispatch_mode=DispatchMode.DIRECT,
+                                   decision_maker=dm, initial_values=tuple(seed))).start()
+        for seed in seeds
+    ]
+    try:
+        assert [rt.store.epoch for rt in runtimes] == [1, 2]
+        for i in range(200):
+            for rt in runtimes:
+                assert rt.call("f", (i,)) == i + 100
+    finally:
+        for rt in runtimes:
+            rt.shutdown()
+    assert dm.misses == ["f", "f"]
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_memo_stays_within_its_cap_over_many_objects_at_one_epoch(mode):
+    src = (
+        "module m\n"
+        "contexts = [Weather()]\n"
+        "function main = || {\n"
+        "  let i = 0\n"
+        "  while i < 5000 {\n"
+        "    let o = DynamicObject()\n"
+        "    o: define(\"v\", |this| -> 1)\n"
+        "    o: define(\"v\", |this| @(Weather=RAINY) -> proceed() + 1)\n"
+        "    i = i + o: v()\n"
+        "  }\n"
+        "  return i\n"
+        "}\n"
+    )
+    dm = _MissCounting()
+    result, _ = run_program(src, mode=mode, decision_maker=dm)
+    assert result == 5000
+    assert len(dm.misses) == 5000
+    assert 0 < len(dm._memo) <= _MEMO_CAP
+
+
+def test_a_layer_defined_on_many_objects_is_desugared_and_compiled_once(monkeypatch):
+    src = (
+        "module m\n"
+        "contexts = [Weather(), Battery()]\n"
+        "function make = || {\n"
+        "  let o = DynamicObject()\n"
+        "  o: define(\"v\", |this| -> \"base\")\n"
+        "  o: define(\"v\", |this| @(Weather=RAINY)+ { println(\"before\") })\n"
+        "  o: define(\"v\", |this| +@(Battery=OK) { println(\"after\") })\n"
+        "  return o\n"
+        "}\n"
+        "function use = |o| -> o: v()\n"
+    )
+    compiled = []
+    compile_lambda = interpreter_module._compile_lambda
+    monkeypatch.setattr(
+        interpreter_module, "_compile_lambda",
+        lambda lam: compiled.append(lam) or compile_lambda(lam),
+    )
+    output = []
+    config = RunConfig(initial_values=(("Weather", "rainfall_mm", 7.0),),
+                       println=output.append)
+    with Runtime(compile_source(src, file="<test>"), config) as rt:
+        objects = [rt.call("make") for _ in range(100)]
+        assert all(rt.call("use", (o,)) == "base" for o in objects)
+    assert output == ["before", "after"] * 100
+    layer_bodies = {id(v.body) for o in objects for v in o.methods["v"].layers}
+    assert len(layer_bodies) == 2
+    assert layer_bodies <= set(map(id, compiled))
+    assert len(compiled) == len(set(map(id, compiled)))
+
+
+def test_a_failed_define_leaves_no_method_behind():
+    # ConGo cannot catch the error, so only a host sees the object after it
+    src = (
+        "module m\n"
+        "contexts = [Weather()]\n"
+        "function make = || -> DynamicObject()\n"
+        "function bad = |o| -> o: define(\"m\", |this| @(Nope=X) -> 1)\n"
+        "function use = |o| -> o: m()\n"
+    )
+    with Runtime(compile_source(src, file="<test>")) as rt:
+        failed, fresh = rt.call("make"), rt.call("make")
+        with pytest.raises(UnknownContextError):
+            rt.call("bad", (failed,))
+        errors = []
+        for obj in (failed, fresh):
+            with pytest.raises(UnknownMethodError) as err:
+                rt.call("use", (obj,))
+            errors.append((str(err.value), err.value.span))
+    assert errors[0] == errors[1]
 
 
 def test_one_default_maker_serves_event_runtimes_concurrently():
