@@ -5,7 +5,8 @@ and stamps every write with a strictly increasing epoch.  Context
 descriptors map a consistent snapshot of those scalars to sets of meta
 symbols; a :class:`ContextManager` holds one module's descriptors over
 one store.  A meta snapshot is a pure function of the store's contents,
-so the manager evaluates it once per store epoch.
+so at a new store epoch the manager re-runs only the descriptors that
+read a key written since they last ran.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import threading
 import types
 from abc import ABC, abstractmethod
 from typing import (
-    Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union
+    Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 )
 
 from .errors import ContextEvaluationError, FeedError, UnknownContextCtorError
@@ -39,6 +40,8 @@ class ConcreteValueStore:
 
     def __init__(self) -> None:
         self._entries: Dict[Tuple[str, str], Scalar] = {}
+        # (context, key) -> the epoch of its last write; absent if never written
+        self._stamps: Dict[Tuple[str, str], int] = {}
         self._epoch = 0
         self._lock = threading.Lock()
 
@@ -54,8 +57,9 @@ class ConcreteValueStore:
                 f"concrete values must be bool/int/float/str, got {type(value).__name__}"
             )
         with self._lock:
-            self._entries[(context, key)] = value
             self._epoch += 1
+            self._entries[(context, key)] = value
+            self._stamps[(context, key)] = self._epoch
             return self._epoch
 
     def get(self, context: str, key: str, default: Optional[Scalar] = None):
@@ -69,12 +73,20 @@ class ConcreteValueStore:
 
 
 class StoreView:
-    """Read-only view over one store snapshot, handed to descriptors."""
+    """Read-only view over store entries, handed to descriptors.
 
-    def __init__(self, entries: Dict[Tuple[str, str], Scalar]):
+    It records in ``reads`` every ``(context, key)`` asked for, present
+    or not: the keys whose writes must re-run the descriptor that read them.
+    """
+
+    __slots__ = ("_entries", "reads")
+
+    def __init__(self, entries: Mapping[Tuple[str, str], Scalar]):
         self._entries = entries
+        self.reads: Set[Tuple[str, str]] = set()
 
     def get(self, context: str, key: str, default: Optional[Scalar] = None):
+        self.reads.add((context, key))
         return self._entries.get((context, key), default)
 
 
@@ -85,7 +97,13 @@ class ContextDescriptor(ABC):
 
     @abstractmethod
     def evaluate(self, store) -> FrozenSet[str]:
-        """Return the active meta symbols; must be deterministic in the store."""
+        """Return the active meta symbols.
+
+        ``store`` is a :class:`StoreView`.  Read concrete values only through
+        it, be deterministic in what you read, and never write the store:
+        evaluation runs under the store's lock, and it is repeated only
+        after a write to a key read last time.
+        """
 
 
 class ConfusedHeroContext(ContextDescriptor):
@@ -157,6 +175,12 @@ class ContextManager:
     def __init__(self, store: ConcreteValueStore, ctor_names) -> None:
         self._store = store
         self._descriptors = tuple(create_context(n) for n in ctor_names)
+        self._names = tuple(d.name for d in self._descriptors)
+        # per descriptor, from its last evaluation: its metas and the keys it
+        # read, None before the first; all of them current at store epoch _seen
+        self._metas: List[Optional[FrozenSet[str]]] = [None] * len(self._descriptors)
+        self._reads: List[Optional[Set[Tuple[str, str]]]] = [None] * len(self._descriptors)
+        self._seen = 0
         # meta state (the evaluated frozensets, in descriptor order) ->
         # (read-only snapshot, {only: read-only view}): one entry per state
         self._states: Dict[Tuple[FrozenSet[str], ...], Tuple[Mapping, Dict]] = {}
@@ -168,18 +192,47 @@ class ContextManager:
     ) -> Tuple[Mapping[str, FrozenSet[str]], int]:
         """The meta snapshot of the store and the epoch it was taken at.
 
-        Descriptors are evaluated once per store epoch.  Equal meta states
-        are one read-only snapshot object, whatever the epochs between
-        them, so snapshot identity changes only when some meta does.  So
-        does that of the view narrowed to ``only`` (a receiver's
-        ``contexts(...)``): each snapshot object keeps one view per ``only``.
+        At most one pass per store epoch.  A pass re-runs only the
+        descriptors that read a key (present or absent) written since they
+        last ran, over the live store under its lock, and keeps the current
+        snapshot object when none of their metas changed.  A pass that
+        raises commits nothing, so it is repeated, and raises again, on
+        the next call.  Equal meta states are one read-only snapshot
+        object, whatever the epochs between them, so snapshot identity
+        changes only when some meta does.  So does that of the view
+        narrowed to ``only`` (a receiver's ``contexts(...)``): each
+        snapshot object keeps one view per ``only``.
         """
         memo = self._memo
         if memo is None or memo[0] != self._store.epoch:
-            entries, epoch = self._store.snapshot()
-            view = StoreView(entries)
-            snapshot: Dict[str, FrozenSet[str]] = {}
-            for descriptor in self._descriptors:
+            memo = self._reevaluate()
+        if only is None:
+            return memo[1], memo[0]
+        views = memo[2]
+        if only not in views:
+            views[only] = types.MappingProxyType(
+                {name: metas for name, metas in memo[1].items() if name in only}
+            )
+        return views[only], memo[0]
+
+    def _reevaluate(self) -> Tuple[int, Mapping, Dict]:
+        store = self._store
+        with store._lock:
+            epoch, memo = store._epoch, self._memo
+            if memo is not None and memo[0] == epoch:
+                return memo  # another thread's pass got here first
+            entries, stamps, seen = store._entries, store._stamps, self._seen
+            updates = []
+            changed = memo is None
+            for i, descriptor in enumerate(self._descriptors):
+                reads = self._reads[i]
+                if reads is not None:
+                    for key in reads:
+                        if stamps.get(key, 0) > seen:
+                            break
+                    else:
+                        continue
+                view = StoreView(entries)
                 try:
                     metas = frozenset(descriptor.evaluate(view))
                 except RecursionError:
@@ -189,29 +242,34 @@ class ContextManager:
                         descriptor.name,
                         f"context '{descriptor.name}' failed to evaluate: {exc}",
                     ) from exc
-                for symbol in metas:
-                    if not isinstance(symbol, str) or not _META_SYMBOL_RE.match(symbol):
-                        raise ContextEvaluationError(
-                            descriptor.name,
-                            f"context '{descriptor.name}' produced an invalid meta "
-                            f"symbol: {symbol!r}",
-                        )
-                snapshot[descriptor.name] = metas
-            state = tuple(snapshot.values())
-            entry = self._states.get(state)
-            if entry is None:
-                if len(self._states) >= _MAX_STATES:
-                    self._states = {}
-                entry = self._states[state] = (types.MappingProxyType(snapshot), {})
-            memo = self._memo = (epoch, *entry)
-        if only is None:
-            return memo[1], memo[0]
-        views = memo[2]
-        if only not in views:
-            views[only] = types.MappingProxyType(
-                {name: metas for name, metas in memo[1].items() if name in only}
-            )
-        return views[only], memo[0]
+                if metas != self._metas[i]:
+                    for symbol in metas:
+                        if not isinstance(symbol, str) or not _META_SYMBOL_RE.match(symbol):
+                            raise ContextEvaluationError(
+                                descriptor.name,
+                                f"context '{descriptor.name}' produced an invalid meta "
+                                f"symbol: {symbol!r}",
+                            )
+                    changed = True
+                updates.append((i, metas, view.reads))
+            # commit only now: a pass cut short by a raise leaves all as it was
+            for i, metas, reads in updates:
+                self._metas[i], self._reads[i] = metas, reads
+            self._seen = epoch
+            if changed:
+                state = tuple(self._metas)
+                entry = self._states.get(state)
+                if entry is None:
+                    if len(self._states) >= _MAX_STATES:
+                        self._states = {}
+                    entry = self._states[state] = (
+                        types.MappingProxyType(dict(zip(self._names, state))), {}
+                    )
+                memo = (epoch, *entry)
+            else:
+                memo = (epoch, memo[1], memo[2])
+            self._memo = memo
+            return memo
 
 
 # --- concrete-value ingestion (CLI --set flags and feed files) -------------

@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .bus import MessageBus, Subscription, Topic
 from .errors import (
+    BusClosedError,
     DecisionFailedError,
     NoApplicableVariantError,
     StackOverflowError,
@@ -98,6 +99,7 @@ class DecisionMaker(ABC):
 
 _NO_METAS: frozenset = frozenset()
 _MEMO_CAP = 1024  # the most chains one DefaultDecisionMaker keeps
+_SEEN_CAP = 1024  # the most requests one CountingDecisionMaker lists in ``seen``
 _VARIANT_ID = itertools.repeat(VariantId)  # isinstance's second argument, for map()
 
 
@@ -158,7 +160,11 @@ class DefaultDecisionMaker(DecisionMaker):
 
 
 class CountingDecisionMaker(DecisionMaker):
-    """Delegates to an inner policy while recording every decide call."""
+    """Delegates to an inner policy while counting every decide call.
+
+    ``seen`` lists the (module, function, receiver) of the calls since it
+    was last emptied, which happens when it reaches ``_SEEN_CAP`` entries.
+    """
 
     def __init__(self, inner: Optional[DecisionMaker] = None):
         self.inner = inner or DefaultDecisionMaker()
@@ -170,6 +176,8 @@ class CountingDecisionMaker(DecisionMaker):
 
     def decide(self, request: InvocationRequest) -> DecisionResponse:
         self.decisions += 1
+        if len(self.seen) >= _SEEN_CAP:
+            self.seen = []
         self.seen.append((request.module, request.function_name, request.receiver_id))
         return self.inner.decide(request)
 
@@ -199,14 +207,18 @@ def attach_decision_maker(bus: MessageBus, dm: DecisionMaker) -> Subscription:
     """Subscribe ``dm`` to every decision request on the bus.
 
     Each request is answered on its own reply topic, by the request's
-    own decision maker when it names one.
+    own decision maker when it names one.  A reply decided after the bus
+    was shut down is dropped: no caller can receive it any more.
     """
 
     def _handle(message) -> None:
         request = message.payload
         if isinstance(request, InvocationRequest):
             reply = decide_or_fail(request.decision_maker or dm, request)
-            bus.publish(request.reply_topic, reply)
+            try:
+                bus.publish(request.reply_topic, reply)
+            except BusClosedError:
+                pass
 
     return bus.subscribe(REQUEST_PATTERN, _handle)
 

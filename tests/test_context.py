@@ -347,6 +347,171 @@ def test_memoised_snapshot_is_read_only(counting_manager):
     assert counting_manager.snapshot_meta()[0] == {"Counting": {"LOW"}}
 
 
+# --- re-evaluation of only the descriptors a write touched --------------------
+
+
+class _Rule:
+    """A descriptor whose metas are ``rule(view)``; counts its runs in ``_RUNS``."""
+
+    def __init__(self, name, rule):
+        self.name, self.rule = name, rule
+
+    def evaluate(self, view):
+        _RUNS[self.name] = _RUNS.get(self.name, 0) + 1
+        return self.rule(view)
+
+
+_RUNS = {}
+
+
+def _level(view, context, key):
+    value = view.get(context, key)
+    return {"HIGH"} if isinstance(value, int) and value >= 5 else {"LOW"}
+
+
+def _cross(view):
+    # reads another context's key as well as its own
+    total = view.get("IncA", "x", 0) + view.get("IncB", "y", 0)
+    return {"OVER"} if total >= 10 else {"UNDER"}
+
+
+def _switching(view):
+    # which key it reads depends on a value it read
+    if view.get("IncC", "sel") is True:
+        return _level(view, "IncA", "x")
+    return _level(view, "IncB", "y")
+
+
+def _present(view):
+    return {"SET"} if view.get("IncE", "k") is not None else {"UNSET"}
+
+
+def _raising(view):
+    if view.get("IncD", "v") is True:
+        raise RuntimeError("sensor offline")
+    return _level(view, "IncD", "v")
+
+
+_RULES = {
+    "IncA": lambda view: _level(view, "IncA", "x"),
+    "IncB": _cross,
+    "IncC": _switching,
+    "IncD": _raising,
+    "IncE": _present,
+}
+
+
+@pytest.fixture
+def rules():
+    _RUNS.clear()
+    for name, rule in _RULES.items():
+        register_context(name, lambda name=name, rule=rule: _Rule(name, rule))
+    yield
+    for name in _RULES:
+        unregister_context(name)
+
+
+def _runs_after(manager, *writes):
+    """Write, take the snapshot, and return the descriptors that ran."""
+    _RUNS.clear()
+    for context, key, value in writes:
+        manager._store.set(context, key, value)
+    manager.snapshot_meta()
+    return sorted(_RUNS)
+
+
+def test_a_write_re_runs_only_the_descriptors_that_read_it(rules, store):
+    manager = ContextManager(store, ("IncA", "IncE"))
+    assert _runs_after(manager) == ["IncA", "IncE"]
+    assert _runs_after(manager, ("IncA", "x", 1)) == ["IncA"]
+    low = manager.snapshot_meta()[0]
+    assert _runs_after(manager, ("IncA", "unread", 1), ("Other", "x", 9)) == []
+    assert manager.snapshot_meta() == (low, 3)  # same object, new epoch
+    assert _runs_after(manager, ("IncA", "x", 7)) == ["IncA"]
+    assert manager.snapshot_meta()[0] == {"IncA": {"HIGH"}, "IncE": {"UNSET"}}
+
+
+def test_a_descriptor_re_runs_when_another_contexts_key_it_read_changes(rules, store):
+    manager = ContextManager(store, ("IncA", "IncB"))
+    manager.snapshot_meta()
+    assert _runs_after(manager, ("IncB", "y", 6)) == ["IncB"]
+    assert manager.snapshot_meta()[0]["IncB"] == {"UNDER"}
+    assert _runs_after(manager, ("IncA", "x", 4)) == ["IncA", "IncB"]
+    assert manager.snapshot_meta()[0] == {"IncA": {"LOW"}, "IncB": {"OVER"}}
+
+
+def test_a_descriptor_whose_read_set_changes_stays_correct(rules, store):
+    manager = ContextManager(store, ("IncC",))
+    store.set("IncA", "x", 9)
+    assert manager.snapshot_meta()[0] == {"IncC": {"LOW"}}  # read IncB.y
+    assert _runs_after(manager, ("IncA", "x", 1)) == []  # not read this time
+    assert _runs_after(manager, ("IncC", "sel", True)) == ["IncC"]
+    assert manager.snapshot_meta()[0] == {"IncC": {"LOW"}}  # now reads IncA.x
+    assert _runs_after(manager, ("IncB", "y", 9)) == []  # no longer read
+    assert _runs_after(manager, ("IncA", "x", 8)) == ["IncC"]
+    assert manager.snapshot_meta()[0] == {"IncC": {"HIGH"}}
+
+
+def test_a_key_read_while_absent_re_runs_its_descriptor_once_written(rules, store):
+    manager = ContextManager(store, ("IncE",))
+    assert manager.snapshot_meta()[0] == {"IncE": {"UNSET"}}
+    assert _runs_after(manager, ("IncE", "k", "here")) == ["IncE"]
+    assert manager.snapshot_meta()[0] == {"IncE": {"SET"}}
+
+
+def test_a_pass_cut_short_by_a_raise_commits_no_metas(rules, store):
+    manager = ContextManager(store, ("IncA", "IncD"))
+    before, _ = manager.snapshot_meta()
+    store.set("IncA", "x", 9)  # IncA re-runs first and flips to HIGH ...
+    store.set("IncD", "v", True)  # ... then IncD raises
+    for _ in range(2):
+        with pytest.raises(ContextEvaluationError):
+            manager.snapshot_meta()
+    store.set("IncD", "v", 0)  # IncD back to its old metas
+    snap, _ = manager.snapshot_meta()
+    assert snap == {"IncA": {"HIGH"}, "IncD": {"LOW"}}
+    assert snap is not before
+
+
+def _outcome(manager):
+    try:
+        snap, epoch = manager.snapshot_meta()
+    except ContextEvaluationError as exc:
+        return ("raises", exc.context)
+    return dict(snap), epoch
+
+
+_KEYS = [("IncA", "x"), ("IncB", "y"), ("IncC", "sel"), ("IncD", "v"), ("IncE", "k"),
+         ("IncA", "unread")]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(  # batches of writes, with a snapshot taken after each batch
+        st.lists(
+            st.tuples(st.sampled_from(_KEYS), st.one_of(st.integers(0, 9), st.booleans())),
+            min_size=1,
+            max_size=3,
+        ),
+        max_size=12,
+    )
+)
+def test_incremental_snapshots_equal_a_fresh_managers(batches):
+    for name, rule in _RULES.items():
+        register_context(name, lambda name=name, rule=rule: _Rule(name, rule))
+    try:
+        store = ConcreteValueStore()
+        manager = ContextManager(store, tuple(_RULES))
+        assert _outcome(manager) == _outcome(ContextManager(store, tuple(_RULES)))
+        for batch in batches:
+            for (context, key), value in batch:
+                store.set(context, key, value)
+            assert _outcome(manager) == _outcome(ContextManager(store, tuple(_RULES)))
+    finally:
+        for name in _RULES:
+            unregister_context(name)
+
+
 # --- ingestion parsing ------------------------------------------------------------
 
 

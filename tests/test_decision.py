@@ -11,6 +11,7 @@ from congo.bus import Message, MessageBus, Topic
 from congo.context import ContextChanged
 from congo.decision import (
     _MEMO_CAP,
+    _SEEN_CAP,
     CountingDecisionMaker,
     DecisionFailure,
     DecisionMaker,
@@ -341,6 +342,15 @@ def test_counting_decision_maker_counts_and_delegates():
     dm.decide(request)
     assert dm.decisions == 2
     assert dm.seen == [("m", "f", None), ("m", "f", None)]
+
+
+def test_counting_decision_maker_keeps_seen_within_its_cap():
+    dm = CountingDecisionMaker(DefaultDecisionMaker())
+    request = make_request([base_spec()], {})
+    for _ in range(5000):
+        dm.decide(request)
+    assert dm.decisions == 5000
+    assert 0 < len(dm.seen) <= _SEEN_CAP
 
 
 # --- bus attachment ---------------------------------------------------------------

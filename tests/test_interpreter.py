@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import sys
 import threading
 import time
@@ -1333,6 +1334,23 @@ def test_slow_maker_times_out_in_event_mode():
         run(lowered, entry="main", args=(0,), config=config)
     span = err.value.span  # the call f(d) in main
     assert (span.line, span.column) == (5, 24)
+
+
+def test_a_reply_decided_after_shutdown_is_dropped_without_a_log_record(caplog):
+    config = RunConfig(
+        decision_maker=_Sleepy(),
+        decision_timeout=0.05,
+        initial_values=(("Weather", "rainfall_mm", 7.0),),
+        println=lambda s: None,
+    )
+    runtime = Runtime(compile_source(LAYERED, file="<test>"), config).start()
+    with caplog.at_level(logging.ERROR):
+        try:
+            with pytest.raises(DecisionTimeoutError):
+                runtime.call("main", (0,))
+        finally:
+            runtime.shutdown()  # the dispatcher finishes the late decide first
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
 
 
 class _Gated(DefaultDecisionMaker):
