@@ -150,43 +150,61 @@ def _run_iteration(runtime: Runtime, duration: float) -> float:
     return ops / (elapsed * 1000.0)
 
 
-def _measure(name: str, config: BenchConfig) -> BenchResult:
-    lowered = compile_benchmark(name)
-    run_config = RunConfig(dispatch_mode=config.mode, cache_policy=config.cache)
-    with Runtime(lowered, run_config) as runtime:
+def _measure_all(plan: Dict[str, Tuple[str, DispatchMode, CachePolicy]],
+                 config: BenchConfig) -> Dict[str, BenchResult]:
+    """Measure each (benchmark, mode, cache) of ``plan`` on a runtime of its own.
+
+    The runtimes start once and take their windows in turn, so a drift of
+    the host's speed during the run falls on every entry alike instead of
+    on whichever ran last.  One CPU serves this thread and the bus threads
+    it starts; left free, they wake on any CPU and event-mode scores swing
+    from window to window.
+    """
+    pinned = hasattr(os, "sched_setaffinity")
+    if pinned:
+        old_mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {max(old_mask)})
+    runtimes: Dict[str, Runtime] = {}
+    scores: Dict[str, List[float]] = {key: [] for key in plan}
+    try:
+        for key, (name, mode, cache) in plan.items():
+            runtimes[key] = Runtime(compile_benchmark(name), RunConfig(
+                dispatch_mode=mode, cache_policy=cache)).start()
         for _ in range(config.warmup_iters):
-            _run_iteration(runtime, config.iter_duration)
-        scores = []
+            for runtime in runtimes.values():
+                _run_iteration(runtime, config.iter_duration)
         for _ in range(config.measure_iters):
-            gc.collect()  # so no window pays for garbage an earlier one left
-            scores.append(_run_iteration(runtime, config.iter_duration))
-    mean = statistics.fmean(scores)
-    rel_err = statistics.stdev(scores) / mean if mean > 0 else 0.0
-    median = statistics.median(scores)
-    return BenchResult(name, config.mode, config.cache, median, rel_err)
+            for key, runtime in runtimes.items():
+                gc.collect()  # so no window pays for garbage an earlier one left
+                scores[key].append(_run_iteration(runtime, config.iter_duration))
+    finally:
+        for runtime in runtimes.values():
+            runtime.shutdown()
+        if pinned:
+            os.sched_setaffinity(0, old_mask)
+    results = {}
+    for key, (name, mode, cache) in plan.items():
+        mean = statistics.fmean(scores[key])
+        rel_err = statistics.stdev(scores[key]) / mean if mean > 0 else 0.0
+        results[key] = BenchResult(name, mode, cache, statistics.median(scores[key]), rel_err)
+    return results
+
+
+def _measure(name: str, config: BenchConfig) -> BenchResult:
+    return _measure_all({name: (name, config.mode, config.cache)}, config)[name]
 
 
 def run_benchmarks(config: Optional[BenchConfig] = None) -> List[BenchResult]:
     config = config or BenchConfig()
     ensure_bench_context()
     results = []
-    # One CPU for this thread and the bus threads it starts; left free, they
-    # wake on any CPU and event-mode scores swing from window to window.
-    pinned = hasattr(os, "sched_setaffinity")
-    if pinned:
-        old_mask = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {max(old_mask)})
-    try:
-        for name in config.benchmarks:
-            try:
-                results.append(_measure(name, config))
-            except Exception as exc:
-                raise BenchHarnessError(
-                    f"benchmark '{name}' failed: {type(exc).__name__}: {exc}"
-                ) from exc
-    finally:
-        if pinned:
-            os.sched_setaffinity(0, old_mask)
+    for name in config.benchmarks:
+        try:
+            results.append(_measure(name, config))
+        except Exception as exc:
+            raise BenchHarnessError(
+                f"benchmark '{name}' failed: {type(exc).__name__}: {exc}"
+            ) from exc
     return results
 
 
@@ -264,18 +282,8 @@ def run_property_checks(
     measure_iters: int = 4,
 ) -> PropertyReport:
     """Measure the five configurations the ordering checks compare."""
+    config = BenchConfig(warmup_iters, measure_iters, iter_duration)
     ensure_bench_context()
-
-    def conf(benchmark, mode, cache):
-        return BenchConfig(
-            warmup_iters=warmup_iters,
-            measure_iters=measure_iters,
-            iter_duration=iter_duration,
-            mode=mode,
-            cache=cache,
-            benchmarks=(benchmark,),
-        )
-
     plan = {
         "plain": ("plain_single", DispatchMode.EVENT, CachePolicy.NONE),
         "ctx_event": ("contextual_single", DispatchMode.EVENT, CachePolicy.NONE),
@@ -284,8 +292,12 @@ def run_property_checks(
         "ctx_layered": ("contextual_layered10", DispatchMode.EVENT, CachePolicy.NONE),
     }
     report = PropertyReport()
-    for key, (benchmark, mode, cache) in plan.items():
-        report.results[key] = run_benchmarks(conf(benchmark, mode, cache))[0]
+    try:
+        report.results = _measure_all(plan, config)
+    except Exception as exc:
+        raise BenchHarnessError(
+            f"benchmark checks failed: {type(exc).__name__}: {exc}"
+        ) from exc
 
     r = {key: result.throughput for key, result in report.results.items()}
 

@@ -44,6 +44,8 @@ class ConcreteValueStore:
         self._stamps: Dict[Tuple[str, str], int] = {}
         self._epoch = 0
         self._lock = threading.Lock()
+        # the ident of the thread running a descriptor under _lock, or None
+        self._evaluating: Optional[int] = None
 
     @property
     def epoch(self) -> int:
@@ -56,6 +58,8 @@ class ConcreteValueStore:
             raise ValueError(
                 f"concrete values must be bool/int/float/str, got {type(value).__name__}"
             )
+        if self._evaluating is not None and self._evaluating == threading.get_ident():
+            raise RuntimeError("a context descriptor must not write the store")
         with self._lock:
             self._epoch += 1
             self._entries[(context, key)] = value
@@ -101,8 +105,8 @@ class ContextDescriptor(ABC):
 
         ``store`` is a :class:`StoreView`.  Read concrete values only through
         it, be deterministic in what you read, and never write the store:
-        evaluation runs under the store's lock, and it is repeated only
-        after a write to a key read last time.
+        evaluation runs under the store's lock, so a write from it raises,
+        and it is repeated only after a write to a key read last time.
         """
 
 
@@ -233,6 +237,7 @@ class ContextManager:
                     else:
                         continue
                 view = StoreView(entries)
+                store._evaluating = threading.get_ident()  # so a set() raises, not hangs
                 try:
                     metas = frozenset(descriptor.evaluate(view))
                 except RecursionError:
@@ -242,6 +247,8 @@ class ContextManager:
                         descriptor.name,
                         f"context '{descriptor.name}' failed to evaluate: {exc}",
                     ) from exc
+                finally:
+                    store._evaluating = None
                 if metas != self._metas[i]:
                     for symbol in metas:
                         if not isinstance(symbol, str) or not _META_SYMBOL_RE.match(symbol):

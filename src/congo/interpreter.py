@@ -6,7 +6,10 @@ Closures for Code Generation*, Computer Languages 12(1), 1987) and cached on
 the :class:`~congo.nodes.Lambda` node.  The compiler resolves every name
 to frame slots (lexical addressing, Abelson & Sussman, *SICP* §5.5.6): a
 call runs on a plain list ``[parent frame, parameters..., lets...]``, and
-only a block that declares a ``let`` gets a frame of its own.
+only a block that declares a ``let`` gets a frame of its own.  A few common
+shapes are superinstructions (Proebsting, *Optimizing an ANSI C Interpreter
+with Superoperators*, POPL 1995): one closure reads an int literal or a
+parameter operand inline instead of calling a closure for it.
 
 A contextual call never selects its own variant chain.  The site
 snapshots the meta context once, builds an :class:`InvocationRequest`,
@@ -556,6 +559,15 @@ class Runtime:
 # holds _UNBOUND until its let runs.  A name resolves to the slot of every
 # enclosing frame that declares it, innermost first, and the first bound one
 # is the binding: a let shadows only once it has run.
+#
+# Fused shapes, each kept because it saves at least three Python calls per
+# tick of the perfbench program: ``e op 3`` and ``x op 3`` for the int
+# operators, and for '/' and '%' by a nonzero literal, where x is a parameter
+# of this frame and e any other expression; and a call's only argument
+# ``f(x)``.  A fused closure reads its literal or parameter inline.  Two ints
+# take the operator function directly; every other operand, whatever its
+# type, goes to _apply_binary, which owns each type error, zero divisor and
+# overflow and its span.
 
 _NEXT = object()
 _UNBOUND = object()
@@ -655,13 +667,23 @@ def _compile_null(expr: nodes.NullLit, scope: _Scope) -> Callable:
     return lambda interp, frame: None
 
 
+def _param_slot(expr, scope: _Scope) -> Optional[int]:
+    """The slot of ``expr`` if it names a parameter of the innermost frame."""
+    if type(expr) is nodes.Ident:
+        found = scope.resolve(expr.name)
+        if found and found[0][0] == 0 and found[0][1] <= scope.params:
+            return found[0][1]
+    return None
+
+
 def _compile_ident(expr: nodes.Ident, scope: _Scope) -> Callable:
     name, span = expr.name, expr.span
+    index = _param_slot(expr, scope)
+    if index is not None:
+        return lambda interp, frame: frame[index]
     found = scope.resolve(name)
     if len(found) == 1 and found[0][0] <= 1:  # a slot of this frame or its parent
         depth, index = found[0]
-        if depth == 0 and index <= scope.params:
-            return lambda interp, frame: frame[index]
 
         def slot(interp, frame):
             value = (frame[0] if depth else frame)[index]
@@ -696,6 +718,27 @@ _INT_DIVISIONS = {"/": operator.floordiv, "%": operator.mod}
 
 def _compile_binary(expr: nodes.BinaryOp, scope: _Scope) -> Callable:
     op, span = expr.op, expr.span
+    k = expr.right.value if type(expr.right) is nodes.IntLit else None
+    fast = _INT_OPS.get(op)
+    if k and fast is None:  # '/' or '%' by a nonzero literal never divides by zero
+        fast = _INT_DIVISIONS.get(op)
+    if k is not None and fast is not None:
+        i = _param_slot(expr.left, scope)
+        if i is not None:  # x op 3
+            def run(interp, frame):
+                a = frame[i]
+                if type(a) is int:
+                    return fast(a, k)
+                return _apply_binary(op, a, k, span)
+            return run
+        left = _compile(expr.left, scope)
+
+        def run(interp, frame):  # any expression op 3
+            a = left(interp, frame)
+            if type(a) is int:
+                return fast(a, k)
+            return _apply_binary(op, a, k, span)
+        return run
     left, right = _compile(expr.left, scope), _compile(expr.right, scope)
     if op == "&&" or op == "||":
         settles = op == "||"  # the left value that is the result on its own
@@ -710,9 +753,7 @@ def _compile_binary(expr: nodes.BinaryOp, scope: _Scope) -> Callable:
             if b is True or b is False:
                 return b
             raise _not_bool(f"right operand of '{op}'", b, span)
-    elif op in _INT_OPS:
-        fast = _INT_OPS[op]
-
+    elif fast is not None:
         def run(interp, frame):
             a, b = left(interp, frame), right(interp, frame)
             if type(a) is int and type(b) is int:
@@ -754,6 +795,10 @@ def _compile_unary(expr: nodes.UnaryOp, scope: _Scope) -> Callable:
 
 def _compile_args(exprs: Tuple[nodes.Expr, ...], scope: _Scope) -> Callable:
     """A closure that evaluates the arguments left to right into a tuple."""
+    if len(exprs) == 1:
+        i = _param_slot(exprs[0], scope)
+        if i is not None:  # f(x)
+            return lambda interp, frame: (frame[i],)
     fns = tuple(_compile(e, scope) for e in exprs)
     if not fns:
         return lambda interp, frame: ()
@@ -784,12 +829,18 @@ def _compile_call(expr: nodes.Call, scope: _Scope) -> Callable:
     if not found:
         return call
 
-    # a bound local first
+    # a bound local first; one slot of this frame or its parent is read inline
+    depth, index = found[0]
+    inline = len(found) == 1 and depth <= 1
+
     def local_call(interp, frame):
-        hit = _find(frame, found)
-        if hit is None:
+        if inline:
+            fn = (frame[0] if depth else frame)[index]
+        else:
+            hit = _find(frame, found)
+            fn = _UNBOUND if hit is None else hit[0][hit[1]]
+        if fn is _UNBOUND:
             return call(interp, frame)
-        fn = hit[0][hit[1]]
         if not isinstance(fn, FunctionValue):
             raise CongoTypeError(f"'{name}' is not callable", span)
         return interp._invoke(

@@ -147,6 +147,29 @@ def test_benchmarks_run_on_one_cpu_and_restore_the_mask(monkeypatch):
     assert os.sched_getaffinity(0) == before
 
 
+def test_property_checks_take_their_windows_in_turn(monkeypatch):
+    import congo.bench as bench_mod
+
+    events = []
+
+    def window(runtime, duration):
+        events.append(runtime)
+        return float(len(events))
+
+    monkeypatch.setattr(bench_mod, "_run_iteration", window)
+    monkeypatch.setattr(bench_mod.gc, "collect", lambda: events.append("gc"))
+    report = bench_mod.run_property_checks(iter_duration=0.01, warmup_iters=2,
+                                           measure_iters=3)
+    runtimes = events[:5]
+    assert len(set(map(id, runtimes))) == 5  # five runtimes, started once
+    assert events[5:10] == runtimes  # the second warm-up round
+    measured = events[10:]
+    assert measured == [item for rt in runtimes * 3 for item in ("gc", rt)]
+    assert all(rt.bus.closed for rt in runtimes)
+    # each configuration's median is of its own windows: plain ran first
+    assert [r.throughput for r in report.results.values()] == [22.0, 24.0, 26.0, 28.0, 30.0]
+
+
 def test_format_table_layout():
     steady = BenchResult(
         benchmark="plain_single",

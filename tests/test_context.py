@@ -11,6 +11,7 @@ from congo.context import (
     BatteryContext,
     ConcreteValueStore,
     ConfusedHeroContext,
+    ContextDescriptor,
     ContextManager,
     StoreView,
     WeatherContext,
@@ -471,6 +472,50 @@ def test_a_pass_cut_short_by_a_raise_commits_no_metas(rules, store):
     snap, _ = manager.snapshot_meta()
     assert snap == {"IncA": {"HIGH"}, "IncD": {"LOW"}}
     assert snap is not before
+
+
+class _Writer(ContextDescriptor):
+    """Writes the store it was built over while evaluating, unless fixed."""
+
+    name = "Writer"
+    store = None
+    fixed = False
+
+    def evaluate(self, view):
+        if not self.fixed:
+            self.store.set("Writer", "k", 1)
+        return frozenset({"HIGH" if view.get("Writer", "k") == 1 else "LOW"})
+
+
+def test_a_descriptor_that_writes_the_store_raises_instead_of_hanging(store):
+    writer = _Writer()
+    writer.store = store
+    register_context("Writer", lambda: writer)
+    try:
+        manager = ContextManager(store, ("Writer",))
+        store.set("Other", "k", 0)
+        outcome = []
+
+        def probe():
+            try:
+                manager.snapshot_meta()
+            except ContextEvaluationError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=probe, daemon=True)
+        thread.start()
+        thread.join(timeout=1.0)
+        assert not thread.is_alive(), "snapshot_meta blocked on the store's lock"
+        (exc,) = outcome
+        assert exc.context == "Writer"
+        assert "must not write the store" in exc.message
+        assert store.snapshot() == ({("Other", "k"): 0}, 1)  # the write never happened
+        writer.fixed = True
+        assert manager.snapshot_meta() == ({"Writer": {"LOW"}}, 1)
+        assert store.set("Writer", "k", 1) == 2  # writes outside a pass still go through
+        assert manager.snapshot_meta() == ({"Writer": {"HIGH"}}, 2)
+    finally:
+        unregister_context("Writer")
 
 
 def _outcome(manager):

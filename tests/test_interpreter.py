@@ -6,6 +6,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from congo import interpreter as interpreter_module
 from congo.decision import (
@@ -21,6 +23,7 @@ from congo.decision import (
 from congo.context import register_context, unregister_context
 from congo.errors import (
     CallArityError,
+    CongoError,
     CongoTypeError,
     ContextEvaluationError,
     DecisionFailedError,
@@ -144,6 +147,72 @@ def test_boolean_operators_short_circuit():
 def test_condition_must_be_boolean():
     with pytest.raises(CongoTypeError):
         run_program("module m\nfunction main = || { if 1 { return 2 } }\n")
+
+
+# Every operator over every kind of operand the compiler tells apart, against
+# _apply_binary on the same values: an int literal (its own fused closures, on
+# the right), a literal of any other type, a parameter (read inline when the
+# right operand is an int literal, and as a call's only argument), and any
+# other expression.
+_HUGE = 2 ** 1100 + 3  # too large to become a float
+_OPERATORS = ("+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=")
+_VALUES = st.one_of(
+    st.integers(-9, 9), st.sampled_from([0, 97, _HUGE, -_HUGE, 2.5, -0.5, 0.0]),
+    st.booleans(), st.sampled_from(["a", ""]),
+)
+_LITERALS = st.one_of(
+    st.integers(0, 9), st.sampled_from([97, _HUGE, 2.5, 0.0, True, False, "a", None]),
+)
+_OPERANDS = st.one_of(
+    st.tuples(st.just("literal"), _LITERALS),
+    st.tuples(st.just("param"), _VALUES),
+    st.tuples(st.just("expr"), _VALUES),
+)
+
+
+def _literal_source(value) -> str:
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    return f'"{value}"' if isinstance(value, str) else repr(value)
+
+
+def _outcome(thunk):
+    try:
+        value = thunk()
+    except CongoError as exc:
+        return type(exc), exc.message, exc.span
+    return type(value), value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(left=_OPERANDS, op=st.sampled_from(_OPERATORS), right=_OPERANDS)
+@example(left=("param", 5), op="/", right=("literal", 0))
+@example(left=("param", 5), op="%", right=("literal", 0))
+@example(left=("expr", 5), op="/", right=("param", 0))
+@example(left=("param", 5), op="%", right=("param", 0))
+@example(left=("expr", -7), op="/", right=("literal", 2))
+@example(left=("param", -7), op="%", right=("literal", 2))
+@example(left=("literal", True), op="==", right=("literal", 1))
+@example(left=("param", True), op="==", right=("literal", 1))
+@example(left=("param", _HUGE), op="+", right=("literal", 2.5))
+@example(left=("expr", _HUGE), op="*", right=("param", 0.5))
+@example(left=("literal", "a"), op="+", right=("literal", 1))
+@example(left=("param", "a"), op="+", right=("literal", 1))
+def test_fused_operators_agree_with_apply_binary(left, op, right):
+    # p and q are the parameter operands; r and s feed the expression operands
+    sources = []
+    for (kind, value), param, fed in ((left, "p", "r"), (right, "q", "s")):
+        sources.append({"literal": _literal_source(value), "param": param,
+                        "expr": f"same({fed})"}[kind])
+    src = ("module m\nfunction same = |v| -> v\n"
+           f"function f = |p, q, r, s| -> {sources[0]} {op} {sources[1]}\n")
+    lowered = compile_source(src, file="<test>")
+    span = lowered.tables["f"].base.body.body.span
+    args = (left[1], right[1], left[1], right[1])
+    with Runtime(lowered, RunConfig(dispatch_mode=DispatchMode.DIRECT)) as runtime:
+        got = _outcome(lambda: runtime.call("f", args))
+    want = _outcome(lambda: interpreter_module._apply_binary(op, left[1], right[1], span))
+    assert got == want
 
 
 # --- statements, scoping, closures ------------------------------------------------
@@ -278,6 +347,28 @@ def test_local_lambda_calls_itself_by_its_let_name():
         "}\n"
     )
     assert run_program(src)[0] == 120
+
+
+def test_a_single_slot_local_call_reads_its_slot_without_a_scope_walk(monkeypatch):
+    def no_walk(frame, found):
+        raise AssertionError("_find called")
+
+    monkeypatch.setattr(interpreter_module, "_find", no_walk)
+    test_local_lambda_calls_itself_by_its_let_name()
+
+
+def test_a_local_call_whose_slot_is_unbound_calls_the_module_function(monkeypatch):
+    src = (
+        "module m\n"
+        "function g = || -> 1\n"
+        "function main = || {\n"
+        "  let r = g()\n"
+        "  let g = || -> 2\n"
+        "  return r * 10 + g()\n"
+        "}\n"
+    )
+    monkeypatch.setattr(interpreter_module, "_find", None)  # the slot is read inline
+    assert run_program(src, mode=DispatchMode.DIRECT)[0] == 12
 
 
 def test_closure_sees_a_let_that_follows_it():
