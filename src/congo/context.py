@@ -67,13 +67,22 @@ class ConcreteValueStore:
             return self._epoch
 
     def get(self, context: str, key: str, default: Optional[Scalar] = None):
+        self._refuse_a_descriptor()
         with self._lock:
             return self._entries.get((context, key), default)
 
     def snapshot(self) -> Tuple[Dict[Tuple[str, str], Scalar], int]:
         """Consistent copy of (entries, epoch)."""
+        self._refuse_a_descriptor()
         with self._lock:
             return dict(self._entries), self._epoch
+
+    def _refuse_a_descriptor(self) -> None:
+        # a descriptor runs under _lock, so a read from it would wait forever
+        if self._evaluating is not None and self._evaluating == threading.get_ident():
+            raise RuntimeError(
+                "a context descriptor must read the view it is handed, not the store"
+            )
 
 
 class StoreView:

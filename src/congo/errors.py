@@ -158,9 +158,12 @@ class CongoRuntimeError(CongoError):
 
     kind = "Runtime"
 
-    def __init__(self, message: str, span=None, call_stack=None):
+    def __init__(self, message: str, span=None):
         super().__init__(message, span)
-        self.call_stack = call_stack
+        # the (name, call span) of each ConGo call it has unwound, innermost
+        # first; Runtime.call turns a non-empty list into call_stack
+        self.unwound = []
+        self.call_stack = None
 
 
 class UnknownFunctionError(CongoRuntimeError):

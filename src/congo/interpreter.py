@@ -5,10 +5,13 @@ Python closures of the form ``fn(interp, frame)`` (Feeley & Lapalme, *Using
 Closures for Code Generation*, Computer Languages 12(1), 1987) and cached on
 the :class:`~congo.nodes.Lambda` node.  The compiler resolves every name
 to frame slots (lexical addressing, Abelson & Sussman, *SICP* §5.5.6): a
-call runs on a plain list ``[parent frame, parameters..., lets...]``, and
-only a block that declares a ``let`` gets a frame of its own.  A few common
-shapes are superinstructions (Proebsting, *Optimizing an ANSI C Interpreter
-with Superoperators*, POPL 1995): one closure reads an int literal or a
+call runs on a plain list ``[parent frame, chain, arguments, receiver,
+parameters..., lets...]``, and only a block that declares a ``let`` gets a
+frame of its own.  The three call-state slots are what ``proceed()`` reads:
+the rest of the variant chain (None for a local lambda), the arguments a
+bare ``proceed()`` re-sends, and the receiver.  A few common shapes are
+superinstructions (Proebsting, *Optimizing an ANSI C Interpreter with
+Superoperators*, POPL 1995): one closure reads an int literal or a
 parameter operand inline instead of calling a closure for it.
 
 A contextual call never selects its own variant chain.  The site
@@ -18,7 +21,15 @@ and gets a reply from the shared decide step
 dispatch, the default) or by calling it directly (direct dispatch).
 The two transports differ in nothing else: every reply is checked and
 turned into an error in one place, and the returned chain executes
-outermost-first with ``proceed()`` stepping inward.
+outermost-first with ``proceed()`` stepping inward.  Under the epoch guard
+each call site keeps the chain it last ran, and the call closure itself
+runs it again while the store epoch and the receiver are unchanged: a
+per-site inline cache (Deutsch & Schiffman, *Efficient Implementation of
+the Smalltalk-80 System*, POPL 1984).
+
+No call pushes anything for error reporting.  A ConGo error collects the
+``(name, call span)`` of each call it unwinds, and :meth:`Runtime.call`
+turns that list into its ``call_stack``.
 
 User programs are single-threaded; the interpreter thread and the bus
 dispatcher are the only execution contexts.
@@ -223,11 +234,6 @@ def _not_bool(what: str, value: Value, span) -> CongoTypeError:
     return CongoTypeError(f"{what} must be a boolean, got {stringify(value, span)!r}", span)
 
 
-# the (name, span) pair of a call-stack entry, read without a Python frame
-# so that it still works when the stack has run out
-_NAME_AND_SPAN = operator.itemgetter(0, 1)
-
-
 class Runtime:
     """One started module: the interpreter and what its calls dispatch through.
 
@@ -241,6 +247,7 @@ class Runtime:
         self._lowered = lowered
         self._tables = lowered.tables
         self._config = config = config or RunConfig()
+        self._guard = config.cache_policy is CachePolicy.EPOCH_GUARD
         self._println = config.println or (lambda text: print(text))
         self._started = False
         self.store: Optional[ConcreteValueStore] = None
@@ -270,16 +277,15 @@ class Runtime:
             self.bus.shutdown()
             raise
         # The epoch guard's memory, keyed by the site id of the call node,
-        # or by function name for calls from the host: the (chain, store
-        # epoch, receiver (identity, version) or None) last decided there.
+        # or by function name for calls from the host.  Each entry is what
+        # the last decision there needs to run again: (store epoch, receiver
+        # identity, receiver version, the first variant's body, closure
+        # frame and name, the rest of the chain); a function has no receiver,
+        # so None for both.
         self._sites: Dict[Union[int, str], Tuple] = {}
         self._request_ids = itertools.count(1)
         self._request_topic = request_topic_for(self._lowered.name)
         self._changed_topics: Dict[str, Topic] = {}  # context -> its changed topic
-        # One entry per running ConGo function: (name, call span, the rest
-        # of the chain proceed() runs next or None outside a dispatch, the
-        # arguments a bare proceed() re-sends, the receiver).
-        self._stack: List[Tuple] = []
         self._started = True
         return self
 
@@ -291,8 +297,21 @@ class Runtime:
             raise UnknownFunctionError(
                 f"unknown function '{name}' in module '{self._lowered.name}'"
             )
-        span = (table.base or table.layers[0]).body.span
-        return self._call_table(table, None, tuple(args), span, name)
+        span, args = (table.base or table.layers[0]).body.span, tuple(args)
+        try:  # the same three paths as a call site, keyed by the function's name
+            if not table.layers:
+                base = table.base
+                return self._invoke(base.body, base.closure_frame,
+                                    base.variant_id.mangled_name, span, (), args, None)
+            if self._guard:
+                hit = self._sites.get(name)
+                if hit is not None and hit[0] == self.store.epoch:
+                    return self._invoke(hit[3], hit[4], hit[5], span, hit[6], args, None)
+            return self._dispatch(table, None, args, span, name)
+        except CongoRuntimeError as exc:
+            if exc.unwound:
+                exc.call_stack = tuple(reversed(exc.unwound))
+            raise
 
     def shutdown(self) -> None:
         if self.bus is not None:
@@ -357,32 +376,16 @@ class Runtime:
 
     # --- contextual dispatch ------------------------------------------------------
 
-    def _call_table(
+    def _dispatch(
         self,
         table: VariantTable,
         receiver: Optional[DynObject],
         args: Tuple,
         span,
-        site_key: Union[int, str, None],
+        site_key: Union[int, str],
     ) -> Value:
-        """Run a function or method: its base if it has no layers, else dispatch."""
-        if not table.layers:
-            base = table.base
-            return self._invoke(base.body, base.closure_frame, base.variant_id.mangled_name,
-                                span, (), args, receiver)
-        guard = self._config.cache_policy is CachePolicy.EPOCH_GUARD
-        if guard:
-            receiver_key = (
-                (receiver.identity, receiver.version) if receiver is not None else None
-            )
-            site = self._sites.get(site_key)
-            if site is not None and site[1] == self.store.epoch and site[2] == receiver_key:
-                chain = site[0]
-                first = chain[0]
-                return self._invoke(first.body, first.closure_frame,
-                                    first.variant_id.mangled_name, span, chain[1:],
-                                    args, receiver)
-
+        """Decide, check and run the chain of a call to a layered table that
+        the epoch guard did not answer; under the guard, remember it."""
         data = table.dispatch_data()
         if data.missing_base is not None:
             raise MissingBaseError(
@@ -390,12 +393,14 @@ class Runtime:
                 "but no base variant to proceed to",
                 span,
             )
+        identity = version = None
+        dm, only = self.global_dm, None
+        if receiver is not None:
+            identity, version = receiver.identity, receiver.version
+            only = receiver.contexts_override
+            if receiver.decision_maker is not None:
+                dm = receiver.decision_maker
         try:
-            dm, only = self.global_dm, None
-            if receiver is not None:
-                only = receiver.contexts_override
-                if receiver.decision_maker is not None:
-                    dm = receiver.decision_maker
             snapshot, epoch = self.context_manager.snapshot_meta(only)
             request_id = next(self._request_ids)
             event = self._config.dispatch_mode is DispatchMode.EVENT
@@ -405,7 +410,7 @@ class Runtime:
                 table.function_name,
                 data.arity,
                 data.specs,
-                receiver.identity if receiver is not None else None,
+                identity,
                 snapshot,
                 epoch,
                 reply_topic_for(request_id) if event else None,
@@ -425,11 +430,11 @@ class Runtime:
                 exc.span = span
             raise
         chain = validate_response(request, reply, span, data)
-        if guard:
-            self._sites[site_key] = (chain, epoch, receiver_key)
-        first = chain[0]
-        return self._invoke(first.body, first.closure_frame, first.variant_id.mangled_name,
-                            span, chain[1:], args, receiver)
+        first, rest = chain[0], chain[1:]
+        lam, closure, name = first.body, first.closure_frame, first.variant_id.mangled_name
+        if self._guard:
+            self._sites[site_key] = (epoch, identity, version, lam, closure, name, rest)
+        return self._invoke(lam, closure, name, span, rest, args, receiver)
 
     def _invoke(
         self,
@@ -442,35 +447,39 @@ class Runtime:
         receiver: Optional[DynObject],
     ) -> Value:
         """Run one ConGo body: a variant, whose ``remaining`` chain proceed()
-        steps into, or a local lambda.  The last five arguments are its
-        call-stack entry; a method's receiver is its first parameter."""
-        frame = [closure, *args] if receiver is None else [closure, receiver, *args]
-        if len(frame) != len(lam.params) + 1:
+        steps into, or a local lambda.  A method's receiver is its first
+        parameter.  An error that leaves the body records ``name`` and
+        ``span``, the call it unwinds."""
+        if receiver is None:
+            frame = [closure, remaining, args, None, *args]
+        else:
+            frame = [closure, remaining, args, receiver, receiver, *args]
+        if len(frame) != lam.frame_size:
             raise CallArityError(
-                f"'{name}' expects {len(lam.params)} argument(s), got {len(frame) - 1}",
+                f"'{name}' expects {len(lam.params)} argument(s), "
+                f"got {len(args) + (receiver is not None)}",
                 span,
             )
-        stack = self._stack
-        stack.append((name, span, remaining, args, receiver))
         try:
             code = lam.code
             if code is None:  # first call: compile once, for every runtime
                 code = lam.code = _compile_lambda(lam)
             return code(self, frame)
         except CongoRuntimeError as exc:
-            if exc.call_stack is None:
-                exc.call_stack = tuple(map(_NAME_AND_SPAN, stack))
+            exc.unwound.append((name, span))
             raise
         except RecursionError:
-            # Should building the error overflow too, the RecursionError
-            # reaches the caller's _invoke, a few frames up, which retries.
-            raise StackOverflowError(
-                f"stack exhausted after {len(stack)} nested calls",
-                span,
-                tuple(map(_NAME_AND_SPAN, stack)),
-            ) from None
-        finally:
-            stack.pop()
+            # Count the nested calls only now: the _invoke frames on the
+            # stack.  Should this overflow too, the RecursionError reaches
+            # the caller's _invoke, a few frames up, which retries.
+            here = sys._getframe()
+            calls, invoke = 0, here.f_code
+            while here is not None:
+                calls += here.f_code is invoke
+                here = here.f_back
+            error = StackOverflowError(f"stack exhausted after {calls} nested calls", span)
+            error.unwound.append((name, span))
+            raise error from None
 
     # --- builtin functions --------------------------------------------------------
 
@@ -553,12 +562,18 @@ class Runtime:
 # value.  A statement closure returns _NEXT to fall through to the next
 # statement, or the value of a ``return``.
 #
-# A call's frame holds the parameters and the lets of the body's top block.
-# Any other block that declares a let gets a fresh frame each time it runs,
-# so the closures of a loop iteration capture that iteration.  A let slot
-# holds _UNBOUND until its let runs.  A name resolves to the slot of every
-# enclosing frame that declares it, innermost first, and the first bound one
-# is the binding: a let shadows only once it has run.
+# A call's frame holds three slots of call state, then the parameters and the
+# lets of the body's top block: [parent, chain, arguments, receiver, ...].
+# proceed() walks from its own frame up to its call's, a depth known at
+# compile time, reads the call state there and evaluates its arguments in
+# its own frame.  Any other block that declares a let gets a fresh frame
+# each time it runs, so the closures of a loop iteration capture that
+# iteration.  A let slot holds _UNBOUND until its let runs.  A name resolves
+# to the slot of every enclosing frame that declares it, innermost first,
+# and the first bound one is the binding: a let shadows only once it has run.
+#
+# No frame records its caller for error reports.  An error collects its
+# ConGo call stack as it unwinds each _invoke, and Runtime.call reverses it.
 #
 # Fused shapes, each kept because it saves at least three Python calls per
 # tick of the perfbench program: ``e op 3`` and ``x op 3`` for the int
@@ -576,16 +591,18 @@ _UNBOUND = object()
 class _Scope:
     """The compile-time view of one frame: the slot index of each name in it."""
 
-    __slots__ = ("parent", "slots", "params", "padding")
+    __slots__ = ("parent", "slots", "params", "padding", "call")
 
     def __init__(self, parent: Optional["_Scope"], params: Sequence[str],
-                 lets: Sequence[str]):
+                 lets: Sequence[str], call: bool = False):
         self.parent = parent
-        self.slots = {name: i for i, name in enumerate(params, 1)}
-        self.params = len(params)  # slots 1..params are bound on entry
+        self.call = call  # a call's frame, which holds call state
+        first = nodes.CALL_FRAME_HEADER if call else 1
+        self.slots = {name: i for i, name in enumerate(params, first)}
+        self.params = first - 1 + len(params)  # slots up to here are bound on entry
         for name in lets:
-            self.slots.setdefault(name, len(self.slots) + 1)
-        self.padding = (_UNBOUND,) * (len(self.slots) - self.params)
+            self.slots.setdefault(name, len(self.slots) + first)
+        self.padding = (_UNBOUND,) * (len(self.slots) - len(params))
 
     def resolve(self, name: str) -> Tuple[Tuple[int, int], ...]:
         """The (frame depth, slot index) of each slot that may bind ``name``."""
@@ -637,8 +654,8 @@ def _compile_body(lam: nodes.Lambda) -> Callable:
     """The closure that runs a lambda body in the call's frame."""
     body = lam.body
     if not isinstance(body, nodes.Block):
-        return _compile(body, _Scope(lam.outer, lam.params, ()))
-    scope = _Scope(lam.outer, lam.params, _lets(body.stmts))
+        return _compile(body, _Scope(lam.outer, lam.params, (), call=True))
+    scope = _Scope(lam.outer, lam.params, _lets(body.stmts), call=True)
     stmts = tuple(_compile(stmt, scope) for stmt in body.stmts)
     padding = scope.padding
 
@@ -816,11 +833,21 @@ def _compile_call(expr: nodes.Call, scope: _Scope) -> Callable:
     args = _compile_args(expr.args, scope)
     found = scope.resolve(name)
 
-    # the module's function, then a builtin
+    # the module's function: its base if it has no layers, else the chain the
+    # guard remembers at this site, else a decision; then a builtin
     def call(interp, frame):
         table = interp._tables.get(name)
         if table is not None:
-            return interp._call_table(table, None, args(interp, frame), span, site)
+            values = args(interp, frame)
+            if not table.layers:
+                base = table.base
+                return interp._invoke(base.body, base.closure_frame,
+                                      base.variant_id.mangled_name, span, (), values, None)
+            if interp._guard:
+                hit = interp._sites.get(site)
+                if hit is not None and hit[0] == interp.store.epoch:
+                    return interp._invoke(hit[3], hit[4], hit[5], span, hit[6], values, None)
+            return interp._dispatch(table, None, values, span, site)
         builtin = interp._BUILTINS.get(name)
         if builtin is not None:
             return builtin(interp, args(interp, frame), span)
@@ -865,8 +892,18 @@ def _compile_method(expr: nodes.MethodCall, scope: _Scope) -> Callable:
         if builtin is not None:
             return builtin(interp, receiver, values, span)
         table = receiver.methods.get(name)
-        if table is not None:
-            return interp._call_table(table, receiver, values, span, site)
+        if table is not None:  # the same three paths as a function call
+            if not table.layers:
+                base = table.base
+                return interp._invoke(base.body, base.closure_frame,
+                                      base.variant_id.mangled_name, span, (), values, receiver)
+            if interp._guard:
+                hit = interp._sites.get(site)
+                if hit is not None and hit[0] == interp.store.epoch \
+                        and hit[1] == receiver.identity and hit[2] == receiver.version:
+                    return interp._invoke(hit[3], hit[4], hit[5], span, hit[6],
+                                          values, receiver)
+            return interp._dispatch(table, receiver, values, span, site)
         # dynamic property access: zero args reads, one arg writes
         if not values:
             if name in receiver.properties:
@@ -885,9 +922,16 @@ def _compile_method(expr: nodes.MethodCall, scope: _Scope) -> Callable:
 def _compile_proceed(expr: nodes.Proceed, scope: _Scope) -> Callable:
     span = expr.span
     args = _compile_args(expr.args, scope) if expr.args else None
+    hops = 0  # the block frames between this one and the call's
+    while not scope.call:
+        scope, hops = scope.parent, hops + 1
 
     def proceed(interp, frame):
-        _, _, remaining, sent, receiver = interp._stack[-1]
+        call = frame
+        if hops:
+            for _ in range(hops):
+                call = call[0]
+        remaining = call[1]
         if remaining is None:
             raise ProceedExhaustedError(
                 "proceed called outside a layered dispatch", span
@@ -896,11 +940,10 @@ def _compile_proceed(expr: nodes.Proceed, scope: _Scope) -> Callable:
             raise ProceedExhaustedError(
                 "proceed called but the variant chain is exhausted", span
             )
-        if args is not None:
-            sent = args(interp, frame)
+        sent = call[2] if args is None else args(interp, frame)
         step = remaining[0]
         return interp._invoke(step.body, step.closure_frame, step.variant_id.mangled_name,
-                              span, remaining[1:], sent, receiver)
+                              span, remaining[1:], sent, call[3])
 
     return proceed
 

@@ -117,6 +117,12 @@ class LayerAnnotation:
     span: SourceSpan = field(compare=False)
 
 
+# The slots before a call's parameters in the interpreter's frame: the
+# parent frame, then the call state proceed() reads (the rest of the chain,
+# the arguments, the receiver).
+CALL_FRAME_HEADER = 4
+
+
 @dataclass
 class Lambda:
     params: Tuple[str, ...]
@@ -130,6 +136,11 @@ class Lambda:
     outer: object = field(default=None, compare=False, repr=False)
     # the replace-form rewrite of a before/after layer, built once by lowering
     desugared: Optional["Lambda"] = field(default=None, compare=False, repr=False)
+    # the length of a call's frame: its header, then the parameters
+    frame_size: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.frame_size = CALL_FRAME_HEADER + len(self.params)
 
 
 # --- statements -----------------------------------------------------------

@@ -96,6 +96,18 @@ def test_recursion_reaches_depth_190(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "190\n", "")
 
 
+def test_recursion_reaches_depth_240(tmp_path):
+    # a call costs four Python frames, which reaches f(245) under the default
+    # recursion limit; a fifth frame per call stops near f(195)
+    src = (
+        "module m\n"
+        "function f = |n| { if n == 0 { return 0 } return 1 + f(n - 1) }\n"
+        "function main = || { println(f(240)) }\n"
+    )
+    proc = cli("run", write(tmp_path, "depth.congo", src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "240\n", "")
+
+
 def test_deep_nesting_is_one_parse_error_line(tmp_path):
     src = "module m\nfunction main = || -> " + "(" * 300 + "1" + ")" * 300 + "\n"
     path = write(tmp_path, "nested.congo", src)

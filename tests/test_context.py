@@ -518,6 +518,50 @@ def test_a_descriptor_that_writes_the_store_raises_instead_of_hanging(store):
         unregister_context("Writer")
 
 
+class _StoreReader(ContextDescriptor):
+    """Reads the store it was built over, not its view, while evaluating."""
+
+    name = "StoreReader"
+    store = None
+    read = None
+
+    def evaluate(self, view):
+        self.read(self.store)
+        return frozenset({"SEEN"})
+
+
+@pytest.mark.parametrize("read", [
+    lambda store: store.get("Other", "k"),
+    lambda store: store.snapshot(),
+], ids=["get", "snapshot"])
+def test_a_descriptor_that_reads_the_store_raises_instead_of_hanging(store, read):
+    reader = _StoreReader()
+    reader.store, reader.read = store, read
+    register_context("StoreReader", lambda: reader)
+    try:
+        manager = ContextManager(store, ("StoreReader",))
+        store.set("Other", "k", 0)
+        outcome = []
+
+        def probe():
+            try:
+                manager.snapshot_meta()
+            except ContextEvaluationError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=probe, daemon=True)
+        thread.start()
+        thread.join(timeout=1.0)
+        assert not thread.is_alive(), "snapshot_meta blocked on the store's lock"
+        (exc,) = outcome
+        assert exc.context == "StoreReader"
+        assert "must read the view it is handed, not the store" in exc.message
+        assert store.snapshot() == ({("Other", "k"): 0}, 1)  # the store is unchanged
+        assert store.get("Other", "k") == 0  # reads outside a pass still go through
+    finally:
+        unregister_context("StoreReader")
+
+
 def _outcome(manager):
     try:
         snap, epoch = manager.snapshot_meta()

@@ -587,9 +587,11 @@ CALLS_THEN_COMPILE = (
 
 def test_compile_that_runs_out_of_stack_under_deep_calls_blames_the_calls():
     # g is compiled on its first call, at the bottom of f's recursion; across
-    # these depths the stack runs out inside that compile at least once
+    # these depths the stack runs out inside that compile at least once.  A
+    # level costs a few Python frames, so the depths span every plausible cost.
     compile_failures = 0
-    for depth in range(100, 220):
+    limit = sys.getrecursionlimit()
+    for depth in range(limit // 10, limit // 3):
         lowered = compile_source(CALLS_THEN_COMPILE, file="<test>")
         try:
             run(lowered, entry="f", args=(depth,),
