@@ -42,15 +42,12 @@ class ConcreteValueStore:
         self._entries: Dict[Tuple[str, str], Scalar] = {}
         # (context, key) -> the epoch of its last write; absent if never written
         self._stamps: Dict[Tuple[str, str], int] = {}
-        self._epoch = 0
+        # read lock-free (int loads are atomic, and guard re-checks only
+        # compare); only set() writes it, under _lock
+        self.epoch = 0
         self._lock = threading.Lock()
         # the ident of the thread running a descriptor under _lock, or None
         self._evaluating: Optional[int] = None
-
-    @property
-    def epoch(self) -> int:
-        # lock-free: int loads are atomic, and guard re-checks only compare
-        return self._epoch
 
     def set(self, context: str, key: str, value: Scalar) -> int:
         """Store one value and return the new epoch."""
@@ -61,10 +58,10 @@ class ConcreteValueStore:
         if self._evaluating is not None and self._evaluating == threading.get_ident():
             raise RuntimeError("a context descriptor must not write the store")
         with self._lock:
-            self._epoch += 1
+            self.epoch += 1
             self._entries[(context, key)] = value
-            self._stamps[(context, key)] = self._epoch
-            return self._epoch
+            self._stamps[(context, key)] = self.epoch
+            return self.epoch
 
     def get(self, context: str, key: str, default: Optional[Scalar] = None):
         self._refuse_a_descriptor()
@@ -75,7 +72,7 @@ class ConcreteValueStore:
         """Consistent copy of (entries, epoch)."""
         self._refuse_a_descriptor()
         with self._lock:
-            return dict(self._entries), self._epoch
+            return dict(self._entries), self.epoch
 
     def _refuse_a_descriptor(self) -> None:
         # a descriptor runs under _lock, so a read from it would wait forever
@@ -231,7 +228,7 @@ class ContextManager:
     def _reevaluate(self) -> Tuple[int, Mapping, Dict]:
         store = self._store
         with store._lock:
-            epoch, memo = store._epoch, self._memo
+            epoch, memo = store.epoch, self._memo
             if memo is not None and memo[0] == epoch:
                 return memo  # another thread's pass got here first
             entries, stamps, seen = store._entries, store._stamps, self._seen

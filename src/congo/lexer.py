@@ -6,6 +6,8 @@ from ``#`` to end of line.  The layer-marker sequences ``@(``, ``)+`` and
 ``|+@(`` are emitted as ordinary token runs (``@(`` is one token, the
 plus signs separate tokens) and disambiguated by the parser from their
 position.
+
+``tokenize`` runs with the cyclic collector paused (:func:`congo.nodes.gc_paused`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from enum import Enum
 from typing import List, NamedTuple
 
 from .errors import LexError
-from .nodes import SourceSpan
+from .nodes import SourceSpan, gc_paused
 
 
 class TokenKind(Enum):
@@ -81,6 +83,7 @@ def _decode(m: re.Match, span: SourceSpan) -> str:
     return _ESCAPE.sub(lambda esc: _ESCAPES[esc.group(1)], body)
 
 
+@gc_paused
 def tokenize(source: str, file: str = "<string>") -> List[Token]:
     """Tokenize ``source``, ending the stream with a single EOF token."""
     tokens: List[Token] = []

@@ -9,6 +9,9 @@ the chain executor) sees one uniform variant model:
 
 ``$base`` cannot collide with user names because ``$`` is not a legal
 identifier character in source.
+
+``lower`` and ``compile_source`` run with the cyclic collector paused
+(:func:`congo.nodes.gc_paused`).
 """
 
 from __future__ import annotations
@@ -222,6 +225,7 @@ class LoweredModule:
     ast: nodes.ModuleAst
 
 
+@nodes.gc_paused
 def lower(ast: nodes.ModuleAst) -> LoweredModule:
     declared = ast.context_decl.ctors if ast.context_decl is not None else ()
     tables: Dict[str, VariantTable] = {}
@@ -255,6 +259,7 @@ def lower(ast: nodes.ModuleAst) -> LoweredModule:
     return LoweredModule(ast.name, tables, tuple(declared), ast)
 
 
+@nodes.gc_paused
 def compile_source(source: str, file: str = "<string>") -> LoweredModule:
     """Tokenize, parse, and lower in one step."""
     return lower(parse(tokenize(source, file)))

@@ -8,6 +8,8 @@ pretty-printed round trip.
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -21,6 +23,29 @@ class SourceSpan(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
+
+
+def gc_paused(fn: Callable) -> Callable:
+    """Run ``fn`` with the process-wide cyclic garbage collector paused.
+
+    The front end builds acyclic trees of tokens, nodes and variants, which
+    the collector would scan again and again and never free.  Only a call
+    that finds the collector enabled pauses it, and that call re-enables it
+    when it returns or raises; nothing else is ever written.  So a nested
+    call is a no-op, a collector the caller disabled stays disabled, and of
+    two threads compiling at once the first to finish re-enables it for
+    both (the other finishes unpaused: slower, but never left disabled).
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        try:
+            gc.disable()  # inside the try, so an interrupt here still re-enables
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 class LayerMode(Enum):

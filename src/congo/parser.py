@@ -19,6 +19,9 @@ the receiver's last token; a ``return`` value must start on the
 ``return``'s line; and an infix operator must sit on the same line as
 the operand it follows (break a long expression after an operator,
 never before one).
+
+``parse`` and ``parse_source`` run with the cyclic collector paused
+(:func:`congo.nodes.gc_paused`).
 """
 
 from __future__ import annotations
@@ -383,6 +386,7 @@ class Parser:
         return tuple(args)
 
 
+@nodes.gc_paused
 def parse(tokens: Sequence[Token]) -> nodes.ModuleAst:
     """Parse a token stream (as produced by :func:`congo.lexer.tokenize`)."""
     parser = Parser(tokens)
@@ -392,5 +396,6 @@ def parse(tokens: Sequence[Token]) -> nodes.ModuleAst:
         raise ParseError("nesting too deep", parser._peek().span) from None
 
 
+@nodes.gc_paused
 def parse_source(source: str, file: str = "<string>") -> nodes.ModuleAst:
     return parse(tokenize(source, file))
