@@ -35,6 +35,12 @@ def gc_paused(fn: Callable) -> Callable:
     call is a no-op, a collector the caller disabled stays disabled, and of
     two threads compiling at once the first to finish re-enables it for
     both (the other finishes unpaused: slower, but never left disabled).
+
+    The call that re-enables the collector also runs the young-generation
+    pass the pause put off, if one is due.  Left to itself, that pass (over
+    every object the call made) would start at whichever tracked allocation
+    comes next, wherever the caller is then, or at none soon; run here, its
+    cost falls on the call that made the objects, and every time.
     """
     @functools.wraps(fn)
     def paused(*args, **kwargs):
@@ -45,6 +51,9 @@ def gc_paused(fn: Callable) -> Callable:
             return fn(*args, **kwargs)
         finally:
             gc.enable()
+            threshold = gc.get_threshold()[0]
+            if threshold and gc.get_count()[0] > threshold:
+                gc.collect(0)
     return paused
 
 

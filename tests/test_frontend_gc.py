@@ -157,6 +157,8 @@ def test_a_pause_that_ends_while_another_thread_enters_leaves_the_collector_enab
 
     class SteppedGc:  # the real collector; B's state check waits for A to finish
         enable, disable = staticmethod(gc.enable), staticmethod(gc.disable)
+        collect, get_count = staticmethod(gc.collect), staticmethod(gc.get_count)
+        get_threshold = staticmethod(gc.get_threshold)
 
         @staticmethod
         def isenabled():
@@ -218,11 +220,15 @@ def test_compiles_started_near_the_recursion_limit_restore_the_collector(enabled
     assert ("parse", "ParseError") in outcomes
 
 
-def test_front_end_starts_no_collection_on_a_large_module():
+def test_front_end_makes_one_young_pass_on_a_large_module_and_owes_none():
     # a tripwire: unpaused, the front end makes hundreds of gen-0 collections
-    # on this module, so an entry point that loses its pause fails here
+    # on this module, so an entry point that loses its pause fails here.
+    # Paused, each call makes exactly the one young-generation pass it owes,
+    # before it returns: a pass left owed would start at some later
+    # allocation of the caller's, and stall whatever code that is.
+    threshold = gc.get_threshold()[0]
     tokens = tokenize(BIG)
-    assert len(tokens) > 20 * gc.get_threshold()[0]
+    assert len(tokens) > 20 * threshold
     ast = parse(tokens)
     calls = {
         "tokenize": lambda: tokenize(BIG),
@@ -237,16 +243,19 @@ def test_front_end_starts_no_collection_on_a_large_module():
             started.append(info["generation"])
 
     assert gc.isenabled()
-    made = {}
+    made, owed = {}, {}
     for name, call in calls.items():
         gc.collect()
         gc.callbacks.append(count)
         try:
-            call()
+            result = call()
+            owed[name] = gc.get_count()[0] > threshold
         finally:
             gc.callbacks.remove(count)
-        made[name], started[:] = len(started), []
-    assert made == dict.fromkeys(calls, 0)
+        del result
+        made[name], started[:] = started[:], []
+    assert made == dict.fromkeys(calls, [0])
+    assert owed == dict.fromkeys(calls, False)
 
 
 def test_a_compile_leaves_no_cyclic_garbage():
