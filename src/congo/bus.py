@@ -2,26 +2,41 @@
 
 One dedicated dispatcher thread runs every handler sequentially, so
 publishers never execute handlers inline and per-subscription delivery
-is FIFO in publish order.  ``request_reply`` layers a blocking
-request/response protocol on top; calling it from the dispatcher thread
-would deadlock the bus, so that re-entry fails fast instead.
+is FIFO in publish order.  ``publish`` picks a message's subscribers
+when it is called: a subscription made after a publish does not receive
+that message, and a message that no subscription matches is not queued
+at all unless a trace hook is set (its sequence number is still used up).
+``request_reply`` layers a blocking request/response protocol on top;
+calling it from the dispatcher thread would deadlock the bus, so that
+re-entry fails fast instead.
 
 Replies are correlated by reply topic (the Correlation Identifier
 pattern): ``request_reply`` registers one pending entry per reply topic in
-a table the bus owns, and the dispatcher, while it picks a message's
-subscribers, pops the entry for that topic and hands the payload to its
-waiter.  No subscription is made per request.  The first reply wins; a
-duplicate reply, or one that arrives after its request timed out, finds
-no entry and reaches only ordinary subscribers.
+a table the bus owns, and ``publish`` pops the entry for its topic and
+hands the payload to the waiter at once, so a reply never waits behind
+the handler that published it.  No subscription is made per request.  The
+first reply wins; a duplicate reply, or one that arrives after its request
+timed out, finds no entry and reaches only ordinary subscribers.
+
+The idle dispatcher blocks in ``os.read`` on a private pipe.  A publisher
+that queues a message for an idle dispatcher writes one byte to wake it,
+and ``os.write`` lets go of the interpreter lock while it does, so the
+dispatcher can take the lock as soon as it wakes.  The ``_idle`` flag,
+set by the dispatcher and cleared by that publisher under ``_lock``, keeps
+at most one byte in the pipe; the dispatcher itself never writes to it.
+A decided call thus costs one thread hand-off each way.  A caller that ran
+the handlers itself while it waited would save both, but could not honour
+its timeout against a handler that hangs, so handlers stay on the
+dispatcher.
 """
 
 from __future__ import annotations
 
 import logging
-import queue
+import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import BusClosedError, DecisionTimeoutError, ReentrantDispatchError
 
@@ -90,15 +105,17 @@ class _PendingReply:
         self.reply: object = None
 
 
-_SHUTDOWN = object()
-
-
 class MessageBus:
     """Single-dispatcher message bus. Starts its thread on construction."""
 
     def __init__(self, *, trace: Optional[Callable[[str], None]] = None):
-        self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._lock = threading.Lock()
+        # (message, its subscribers at publish time) in publish order; guarded by _lock
+        self._queue: List[Tuple[Message, List[Subscription]]] = []
+        # True while the dispatcher waits, or is about to wait, on the pipe
+        # with nobody committed to wake it; guarded by _lock
+        self._idle = False
+        self._wake_read, self._wake_write = os.pipe()
         # Held for the whole delivery of one message; unsubscribe uses it
         # as a barrier so no handler starts after unsubscribe returns.
         self._delivery_lock = threading.Lock()
@@ -111,23 +128,42 @@ class MessageBus:
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="congo-bus", daemon=True
         )
-        self._thread.start()
+        try:
+            self._thread.start()
+        except BaseException:
+            self._close_pipe()
+            raise
 
     # --- core operations ---------------------------------------------------
 
     def publish(self, topic: Topic, payload: object) -> int:
-        """Enqueue a message; returns its global publish sequence number."""
+        """Queue a message for its subscribers; returns its global publish sequence number.
+
+        A reply that a ``request_reply`` waits for is handed to it here.
+        """
         if not isinstance(topic, Topic):
             raise TypeError(f"publish needs a Topic, got {type(topic).__name__}")
+        wake = False
         with self._lock:
             if self._closed:
                 raise BusClosedError("publish on a bus that was shut down")
             self._seq += 1
             seq = self._seq
-            self._queue.put(Message(topic, payload, seq))
+            if self._pending:
+                pending = self._pending.pop(topic, None)
+                if pending is not None:
+                    pending.reply = payload
+                    pending.waiter.release()
+            targets = [s for s in self._subscriptions if s.pattern.matches(topic)]
+            if targets or self._trace is not None:
+                self._queue.append((Message(topic, payload, seq), targets))
+                wake, self._idle = self._idle, False
+        if wake:
+            os.write(self._wake_write, b"\0")
         return seq
 
     def subscribe(self, pattern: Topic, handler: Callable[[Message], None]) -> Subscription:
+        """Receive every message published on a matching topic from now on."""
         subscription = Subscription(pattern, handler)
         with self._lock:
             self._subscriptions.append(subscription)
@@ -178,8 +214,8 @@ class MessageBus:
                 f"no reply on '{reply_topic}' within {timeout:g}s",
                 request_id=getattr(payload, "request_id", None),
             )
-        # Either the waiter was released, or the entry was already gone: the
-        # dispatcher pops an entry and fills it under _lock, so the reply is in.
+        # Either the waiter was released, or the entry was already gone:
+        # publish pops an entry and fills it under _lock, so the reply is in.
         return pending.reply
 
     def _withdraw(self, reply_topic: Topic, pending: _PendingReply) -> bool:
@@ -196,8 +232,15 @@ class MessageBus:
             if self._closed:
                 return
             self._closed = True
-        self._queue.put(_SHUTDOWN)
+            wake, self._idle = self._idle, False
+        if wake:
+            os.write(self._wake_write, b"\0")
         self._thread.join()
+        self._close_pipe()
+
+    def _close_pipe(self) -> None:
+        os.close(self._wake_read)
+        os.close(self._wake_write)
 
     @property
     def closed(self) -> bool:
@@ -214,34 +257,34 @@ class MessageBus:
 
     def _dispatch_loop(self) -> None:
         while True:
-            message = self._queue.get()
-            if message is _SHUTDOWN:
-                break
-            with self._delivery_lock:
-                if self._trace is not None:
-                    try:
-                        self._trace(
-                            f"SEQ {message.publish_seq} {message.topic} "
-                            f"{type(message.payload).__name__}"
-                        )
-                    except Exception:
-                        log.exception("bus trace hook failed")
-                with self._lock:
-                    targets = [
-                        s for s in self._subscriptions
-                        if s._active and s.pattern.matches(message.topic)
-                    ]
-                    if self._pending:
-                        pending = self._pending.pop(message.topic, None)
-                        if pending is not None:
-                            pending.reply = message.payload
-                            pending.waiter.release()
-                for subscription in targets:
-                    if not subscription._active:
-                        continue
-                    try:
-                        subscription.handler(message)
-                    except Exception:
-                        log.exception(
-                            "subscriber raised while handling %s", message.topic
-                        )
+            with self._lock:
+                # swapped even when empty: a publisher may append to
+                # _queue as soon as the lock is released
+                batch, self._queue = self._queue, []
+                if not batch:
+                    if self._closed:
+                        return
+                    self._idle = True
+            if not batch:
+                os.read(self._wake_read, 1)  # one byte: the publisher that cleared _idle
+                continue
+            for message, targets in batch:
+                with self._delivery_lock:
+                    self._deliver(message, targets)
+
+    def _deliver(self, message: Message, targets: List[Subscription]) -> None:
+        if self._trace is not None:
+            try:
+                self._trace(
+                    f"SEQ {message.publish_seq} {message.topic} "
+                    f"{type(message.payload).__name__}"
+                )
+            except Exception:
+                log.exception("bus trace hook failed")
+        for subscription in targets:
+            if not subscription._active:
+                continue
+            try:
+                subscription.handler(message)
+            except Exception:
+                log.exception("subscriber raised while handling %s", message.topic)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import sys
 import threading
 import time
 
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from congo import bus as bus_module
 from congo.bus import MessageBus, Topic
 from congo.errors import BusClosedError, DecisionTimeoutError, ReentrantDispatchError
+from congo.interpreter import RunConfig, Runtime
+from congo.lowering import compile_source
 
 
 @pytest.fixture
@@ -132,6 +136,47 @@ def test_no_delivery_for_unmatched_topics(bus):
     assert got == []
 
 
+def test_an_unheard_publish_uses_its_seq_but_queues_nothing(bus):
+    entered, go = threading.Event(), threading.Event()
+
+    def stuck(message):
+        entered.set()
+        assert go.wait(5.0)
+
+    bus.subscribe(Topic.parse("t/stuck"), stuck)
+    first = bus.publish(Topic.parse("t/stuck"), None)
+    assert entered.wait(5.0)  # the dispatcher is busy and will not drain
+    assert bus.publish(Topic.parse("t/nobody"), 1) == first + 1
+    assert bus.publish(Topic.parse("t/nobody"), 2) == first + 2
+    assert bus._queue == []
+    go.set()
+    drain(bus)
+
+
+def test_an_unheard_publish_is_still_traced():
+    lines = []
+    with MessageBus(trace=lines.append) as bus:
+        seq = bus.publish(Topic.parse("t/nobody"), "x")
+        drain(bus)
+    assert f"SEQ {seq} t/nobody str" in lines
+
+
+def test_a_subscription_made_after_a_publish_does_not_receive_it(bus):
+    entered, go = threading.Event(), threading.Event()
+    bus.subscribe(
+        Topic.parse("t/stuck"), lambda m: (entered.set(), go.wait(5.0))
+    )
+    bus.publish(Topic.parse("t/stuck"), None)
+    assert entered.wait(5.0)
+    bus.subscribe(Topic.parse("t/early"), lambda m: None)  # hears "before"
+    bus.publish(Topic.parse("t/early"), "before")
+    got = []
+    bus.subscribe(Topic.parse("t/early"), lambda m: got.append(m.payload))
+    bus.publish(Topic.parse("t/early"), "after")
+    go.set()
+    drain(bus)
+    assert got == ["after"]
+
 def test_unsubscribe_is_a_delivery_barrier(bus):
     got = []
     sub = bus.subscribe(Topic.parse("t/u"), lambda m: got.append(m.payload))
@@ -188,6 +233,22 @@ def test_request_reply_round_trip(bus):
     result = bus.request_reply(Topic.parse("t/req"), 21, Topic.parse("t/reply/1"))
     assert result == 42
 
+
+def test_a_reply_reaches_its_waiter_while_the_responder_still_runs(bus):
+    release = threading.Event()
+
+    def responder(message):
+        bus.publish(Topic.parse("t/reply/held"), message.payload)
+        assert release.wait(5.0)
+
+    bus.subscribe(Topic.parse("t/held"), responder)
+    try:
+        assert bus.request_reply(
+            Topic.parse("t/held"), "early", Topic.parse("t/reply/held"), timeout=2
+        ) == "early"
+        assert not release.is_set()
+    finally:
+        release.set()
 
 def test_request_reply_times_out_without_responder(bus):
     start = time.perf_counter()
@@ -415,3 +476,102 @@ def test_trace_lines_name_seq_topic_and_kind():
         seq = bus.publish(Topic.parse("t/tr"), "hello")
         assert done.wait(5.0)
     assert f"SEQ {seq} t/tr str" in lines
+
+
+# --- the dispatcher's wake-up ----------------------------------------------------
+
+
+def test_no_wake_up_is_lost_under_concurrent_publishers(bus):
+    publishers, per_publisher = 4, 5000
+    topic = Topic.parse("t/stress")
+    got = []
+    done = threading.Event()
+    total = [0]
+
+    def handler(message):
+        got.append(message.payload)
+        if len(got) == total[0]:
+            done.set()
+
+    bus.subscribe(topic, handler)
+
+    def publisher(p):
+        for i in range(per_publisher):
+            bus.publish(topic, (p, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            got.clear()
+            done.clear()
+            total[0] = publishers * per_publisher
+            threads = [
+                threading.Thread(target=publisher, args=(p,)) for p in range(publishers)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(5.0)
+                assert not t.is_alive()
+            assert done.wait(5.0)
+            assert len(got) == total[0]
+            for p in range(publishers):
+                assert [i for q, i in got if q == p] == list(range(per_publisher))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_shutdown_racing_a_publisher_returns_promptly():
+    for _ in range(20):
+        bus = MessageBus()
+        bus.subscribe(Topic.parse("t/race"), lambda m: None)
+        started = threading.Event()
+
+        def publish_until_closed():
+            started.set()
+            try:
+                while True:
+                    bus.publish(Topic.parse("t/race"), None)
+            except BusClosedError:
+                pass
+
+        publisher = threading.Thread(target=publish_until_closed)
+        publisher.start()
+        assert started.wait(5.0)
+        start = time.monotonic()
+        bus.shutdown()
+        assert time.monotonic() - start < 1.0
+        publisher.join(5.0)
+        assert not publisher.is_alive()
+        assert not bus._thread.is_alive()
+
+
+def _open_fds():
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except OSError:
+        return None
+
+
+_ONE_LAYER = (
+    "module m\n"
+    "contexts = [Weather()]\n"
+    "function f = |x| -> x\n"
+    "function f = |x| @(Weather=RAINY) -> proceed(x) + 1\n"
+)
+
+
+def test_start_and_shutdown_leak_no_thread_or_descriptor():
+    lowered = compile_source(_ONE_LAYER, file="<test>")
+    threads, fds = threading.active_count(), _open_fds()
+    for _ in range(200):
+        with MessageBus() as bus:
+            bus.publish(Topic.parse("t/a"), None)
+    config = RunConfig(initial_values=(("Weather", "rainfall_mm", 7.0),))
+    for _ in range(50):
+        with Runtime(lowered, config) as runtime:
+            assert runtime.call("f", (1,)) == 2
+    assert threading.active_count() == threads
+    if fds is not None:
+        assert _open_fds() == fds
