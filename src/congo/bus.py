@@ -191,12 +191,15 @@ class MessageBus:
         """Publish a request and block until a reply arrives on ``reply_topic``.
 
         Only the first reply on ``reply_topic`` is returned.  Raises
-        ``ValueError`` if another request is already waiting on that topic.
+        ``ValueError`` if another request is already waiting on that topic,
+        or if ``timeout`` is not in ``[0, threading.TIMEOUT_MAX]``.
         """
         if threading.current_thread() is self._thread:
             raise ReentrantDispatchError(
                 "request_reply called from the bus dispatcher context"
             )
+        if not 0 <= timeout <= threading.TIMEOUT_MAX:  # NaN too; -1 would wait forever
+            raise ValueError(f"reply timeout must be in [0, TIMEOUT_MAX], got {timeout!r}")
         pending = _PendingReply()
         with self._lock:
             if reply_topic in self._pending:

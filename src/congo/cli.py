@@ -110,8 +110,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if args.check:
             report = run_property_checks(
                 iter_duration=args.duration,
-                warmup_iters=max(args.warmup, 1),
-                measure_iters=max(args.measure, 3),
+                warmup_iters=args.warmup,
+                measure_iters=args.measure,
             )
             print(report.format())
             results, checks = list(report.results.values()), report.checks

@@ -5,8 +5,8 @@ and stamps every write with a strictly increasing epoch.  Context
 descriptors map a consistent snapshot of those scalars to sets of meta
 symbols; a :class:`ContextManager` holds one module's descriptors over
 one store.  A meta snapshot is a pure function of the store's contents,
-so at a new store epoch the manager re-runs only the descriptors that
-read a key written since they last ran.
+so at a new store epoch the store runs one pass under its lock, and the
+pass re-runs only the descriptors that read a key written since they last ran.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ Scalar = Union[bool, int, float, str]
 
 _META_SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _MAX_STATES = 256  # the most meta states one ContextManager keeps snapshots of
+_READ_THE_VIEW = "a context descriptor must read the view it is handed, not the store"
 
 
 def is_scalar(value: object) -> bool:
@@ -36,7 +37,11 @@ def is_number(value: object) -> bool:
 
 
 class ConcreteValueStore:
-    """Shared mutable map of raw values; every mutation bumps the epoch."""
+    """Shared mutable map of raw values; every mutation bumps the epoch.
+
+    The store runs each evaluation pass under its own lock (``run_pass``),
+    so a ``set``, ``get`` or pass started from inside one raises at once.
+    """
 
     def __init__(self) -> None:
         self._entries: Dict[Tuple[str, str], Scalar] = {}
@@ -46,7 +51,7 @@ class ConcreteValueStore:
         # compare); only set() writes it, under _lock
         self.epoch = 0
         self._lock = threading.Lock()
-        # the ident of the thread running a descriptor under _lock, or None
+        # the ident of the thread running a pass under _lock, or None
         self._evaluating: Optional[int] = None
 
     def set(self, context: str, key: str, value: Scalar) -> int:
@@ -55,8 +60,7 @@ class ConcreteValueStore:
             raise ValueError(
                 f"concrete values must be bool/int/float/str, got {type(value).__name__}"
             )
-        if self._evaluating is not None and self._evaluating == threading.get_ident():
-            raise RuntimeError("a context descriptor must not write the store")
+        self._refuse_from_a_pass("a context descriptor must not write the store")
         with self._lock:
             self.epoch += 1
             self._entries[(context, key)] = value
@@ -64,26 +68,28 @@ class ConcreteValueStore:
             return self.epoch
 
     def get(self, context: str, key: str, default: Optional[Scalar] = None):
-        self._refuse_a_descriptor()
+        self._refuse_from_a_pass(_READ_THE_VIEW)
         with self._lock:
             return self._entries.get((context, key), default)
 
-    def snapshot(self) -> Tuple[Dict[Tuple[str, str], Scalar], int]:
-        """Consistent copy of (entries, epoch)."""
-        self._refuse_a_descriptor()
+    def run_pass(self, evaluate: Callable[[Mapping, Mapping, int], object]):
+        """Return ``evaluate(entries, stamps, epoch)`` over the live maps, under the lock."""
+        self._refuse_from_a_pass(_READ_THE_VIEW)
         with self._lock:
-            return dict(self._entries), self.epoch
+            self._evaluating = threading.get_ident()
+            try:
+                return evaluate(self._entries, self._stamps, self.epoch)
+            finally:
+                self._evaluating = None
 
-    def _refuse_a_descriptor(self) -> None:
-        # a descriptor runs under _lock, so a read from it would wait forever
+    def _refuse_from_a_pass(self, message: str) -> None:
+        # the pass holds _lock, so a call from its thread would wait forever
         if self._evaluating is not None and self._evaluating == threading.get_ident():
-            raise RuntimeError(
-                "a context descriptor must read the view it is handed, not the store"
-            )
+            raise RuntimeError(message)
 
 
 class StoreView:
-    """Read-only view over store entries, handed to descriptors.
+    """Read-only view over the store's live entries, handed to descriptors.
 
     It records in ``reads`` every ``(context, key)`` asked for, present
     or not: the keys whose writes must re-run the descriptor that read them.
@@ -110,9 +116,9 @@ class ContextDescriptor(ABC):
         """Return the active meta symbols.
 
         ``store`` is a :class:`StoreView`.  Read concrete values only through
-        it, be deterministic in what you read, and never write the store:
-        evaluation runs under the store's lock, so a write from it raises,
-        and it is repeated only after a write to a key read last time.
+        it, be deterministic in what you read, and never call the store: the
+        store runs the pass under its lock, so a call to it from here raises,
+        and it repeats this only after a write to a key read last time.
         """
 
 
@@ -187,14 +193,14 @@ class ContextManager:
         self._descriptors = tuple(create_context(n) for n in ctor_names)
         self._names = tuple(d.name for d in self._descriptors)
         # per descriptor, from its last evaluation: its metas and the keys it
-        # read, None before the first; all of them current at store epoch _seen
+        # read, None before the first; all of them current at the memo's epoch
         self._metas: List[Optional[FrozenSet[str]]] = [None] * len(self._descriptors)
         self._reads: List[Optional[Set[Tuple[str, str]]]] = [None] * len(self._descriptors)
-        self._seen = 0
         # meta state (the evaluated frozensets, in descriptor order) ->
-        # (read-only snapshot, {only: read-only view}): one entry per state
+        # (read-only snapshot, {only: read-only view}): one entry per state,
+        # the current state's among them
         self._states: Dict[Tuple[FrozenSet[str], ...], Tuple[Mapping, Dict]] = {}
-        # (epoch, snapshot, views) of the last evaluation, or None before the first
+        # (epoch, snapshot, views) of the last pass, or None before the first
         self._memo: Optional[Tuple[int, Mapping, Dict]] = None
 
     def snapshot_meta(
@@ -202,20 +208,19 @@ class ContextManager:
     ) -> Tuple[Mapping[str, FrozenSet[str]], int]:
         """The meta snapshot of the store and the epoch it was taken at.
 
-        At most one pass per store epoch.  A pass re-runs only the
-        descriptors that read a key (present or absent) written since they
-        last ran, over the live store under its lock, and keeps the current
-        snapshot object when none of their metas changed.  A pass that
-        raises commits nothing, so it is repeated, and raises again, on
-        the next call.  Equal meta states are one read-only snapshot
-        object, whatever the epochs between them, so snapshot identity
-        changes only when some meta does.  So does that of the view
-        narrowed to ``only`` (a receiver's ``contexts(...)``): each
-        snapshot object keeps one view per ``only``.
+        At a new store epoch the store runs one pass (``run_pass``) that
+        re-runs only the descriptors that read a key (present or absent)
+        written since they last ran; a second pass at that epoch re-runs
+        none.  A pass that raises commits nothing, so it is repeated, and
+        raises again, on the next call.  Equal meta states are one
+        read-only snapshot object, whatever the epochs between them, so
+        snapshot identity changes only when some meta does.  So does that
+        of the view narrowed to ``only`` (a receiver's ``contexts(...)``):
+        each snapshot object keeps one view per ``only``.
         """
         memo = self._memo
         if memo is None or memo[0] != self._store.epoch:
-            memo = self._reevaluate()
+            memo = self._store.run_pass(self._reevaluate)
         if only is None:
             return memo[1], memo[0]
         views = memo[2]
@@ -225,64 +230,51 @@ class ContextManager:
             )
         return views[only], memo[0]
 
-    def _reevaluate(self) -> Tuple[int, Mapping, Dict]:
-        store = self._store
-        with store._lock:
-            epoch, memo = store.epoch, self._memo
-            if memo is not None and memo[0] == epoch:
-                return memo  # another thread's pass got here first
-            entries, stamps, seen = store._entries, store._stamps, self._seen
-            updates = []
-            changed = memo is None
-            for i, descriptor in enumerate(self._descriptors):
-                reads = self._reads[i]
-                if reads is not None:
-                    for key in reads:
-                        if stamps.get(key, 0) > seen:
-                            break
-                    else:
-                        continue
-                view = StoreView(entries)
-                store._evaluating = threading.get_ident()  # so a set() raises, not hangs
-                try:
-                    metas = frozenset(descriptor.evaluate(view))
-                except RecursionError:
-                    raise  # the caller's stack ran out; the interpreter reports it
-                except Exception as exc:
-                    raise ContextEvaluationError(
-                        descriptor.name,
-                        f"context '{descriptor.name}' failed to evaluate: {exc}",
-                    ) from exc
-                finally:
-                    store._evaluating = None
-                if metas != self._metas[i]:
-                    for symbol in metas:
-                        if not isinstance(symbol, str) or not _META_SYMBOL_RE.match(symbol):
-                            raise ContextEvaluationError(
-                                descriptor.name,
-                                f"context '{descriptor.name}' produced an invalid meta "
-                                f"symbol: {symbol!r}",
-                            )
-                    changed = True
-                updates.append((i, metas, view.reads))
-            # commit only now: a pass cut short by a raise leaves all as it was
-            for i, metas, reads in updates:
-                self._metas[i], self._reads[i] = metas, reads
-            self._seen = epoch
-            if changed:
-                state = tuple(self._metas)
-                entry = self._states.get(state)
-                if entry is None:
-                    if len(self._states) >= _MAX_STATES:
-                        self._states = {}
-                    entry = self._states[state] = (
-                        types.MappingProxyType(dict(zip(self._names, state))), {}
-                    )
-                memo = (epoch, *entry)
-            else:
-                memo = (epoch, memo[1], memo[2])
-            self._memo = memo
-            return memo
+    def _reevaluate(self, entries, stamps, epoch: int) -> Tuple[int, Mapping, Dict]:
+        # the store runs this under its lock: the memo is the last committed pass
+        memo = self._memo
+        seen = 0 if memo is None else memo[0]
+        updates = []
+        for i, descriptor in enumerate(self._descriptors):
+            reads = self._reads[i]
+            if reads is not None:
+                for key in reads:
+                    if stamps.get(key, 0) > seen:
+                        break
+                else:
+                    continue
+            view = StoreView(entries)
+            try:
+                metas = frozenset(descriptor.evaluate(view))
+            except RecursionError:
+                raise  # the caller's stack ran out; the interpreter reports it
+            except Exception as exc:
+                raise ContextEvaluationError(
+                    descriptor.name,
+                    f"context '{descriptor.name}' failed to evaluate: {exc}",
+                ) from exc
+            if metas != self._metas[i]:
+                for symbol in metas:
+                    if not isinstance(symbol, str) or not _META_SYMBOL_RE.match(symbol):
+                        raise ContextEvaluationError(
+                            descriptor.name,
+                            f"context '{descriptor.name}' produced an invalid meta "
+                            f"symbol: {symbol!r}",
+                        )
+            updates.append((i, metas, view.reads))
+        # commit only now: a pass cut short by a raise leaves all as it was
+        for i, metas, reads in updates:
+            self._metas[i], self._reads[i] = metas, reads
+        state = tuple(self._metas)
+        entry = self._states.get(state)
+        if entry is None:
+            if len(self._states) >= _MAX_STATES:
+                self._states = {}
+            entry = self._states[state] = (
+                types.MappingProxyType(dict(zip(self._names, state))), {}
+            )
+        self._memo = memo = (epoch, *entry)
+        return memo
 
 
 # --- concrete-value ingestion (CLI --set flags and feed files) -------------

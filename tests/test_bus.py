@@ -300,6 +300,34 @@ def test_reentrant_request_reply_raises(bus):
     assert len(caught) == 1
 
 
+@pytest.mark.parametrize(
+    "timeout", [-0.5, -1, float("nan"), 2 * threading.TIMEOUT_MAX],
+    ids=["negative", "minus_one", "nan", "too_large"],
+)
+def test_a_bad_timeout_raises_before_anything_is_registered(bus, timeout):
+    requests = []
+    bus.subscribe(Topic.parse("t/bad"), requests.append)
+    outcome = []
+
+    def probe():
+        try:
+            bus.request_reply(Topic.parse("t/bad"), None, Topic.parse("t/reply/bad"), timeout)
+        except Exception as exc:
+            outcome.append(exc)
+
+    # -1 means "wait forever" to Lock.acquire, so ask from a thread that may hang
+    thread = threading.Thread(target=probe, daemon=True)
+    thread.start()
+    thread.join(timeout=2.0)
+    assert not thread.is_alive(), "request_reply waited on a bad timeout"
+    (exc,) = outcome
+    assert isinstance(exc, ValueError)
+    assert "reply timeout must be in [0, TIMEOUT_MAX]" in str(exc)
+    assert bus._pending == {}
+    drain(bus)
+    assert requests == []  # nothing was published either
+
+
 def test_timed_out_reply_slot_is_cleaned_up(bus):
     subscriptions = list(bus._subscriptions)
     with pytest.raises(DecisionTimeoutError):

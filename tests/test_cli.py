@@ -403,6 +403,15 @@ def test_bench_rejects_bad_settings(capsys):
     assert capsys.readouterr().err.startswith("ERROR BenchConfig:")
 
 
+@pytest.mark.parametrize("setting", [("--warmup", "0"), ("--measure", "2")],
+                         ids=["warmup", "measure"])
+def test_bench_check_rejects_the_settings_bench_rejects(capsys, setting):
+    assert main(["bench", "--check", *setting, "--duration", "0.01"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ERROR BenchConfig:")
+    assert captured.out == ""  # refused before any window ran
+
+
 def test_bench_rejects_unknown_benchmark_name(capsys):
     assert main(["bench", "--benchmarks", "nope"]) == 2
 

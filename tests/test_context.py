@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -82,15 +83,6 @@ def test_store_rejects_non_scalars():
     store = ConcreteValueStore()
     with pytest.raises(ValueError):
         store.set("C", "k", [1, 2])
-
-
-def test_snapshot_is_consistent_pair():
-    store = ConcreteValueStore()
-    store.set("C", "a", 1)
-    entries, epoch = store.snapshot()
-    store.set("C", "a", 2)
-    assert entries == {("C", "a"): 1}
-    assert epoch == 1
 
 
 def test_threaded_writes_never_share_an_epoch():
@@ -509,7 +501,8 @@ def test_a_descriptor_that_writes_the_store_raises_instead_of_hanging(store):
         (exc,) = outcome
         assert exc.context == "Writer"
         assert "must not write the store" in exc.message
-        assert store.snapshot() == ({("Other", "k"): 0}, 1)  # the write never happened
+        assert store.epoch == 1  # the write never happened
+        assert store.get("Writer", "k") is None
         writer.fixed = True
         assert manager.snapshot_meta() == ({"Writer": {"LOW"}}, 1)
         assert store.set("Writer", "k", 1) == 2  # writes outside a pass still go through
@@ -532,8 +525,8 @@ class _StoreReader(ContextDescriptor):
 
 @pytest.mark.parametrize("read", [
     lambda store: store.get("Other", "k"),
-    lambda store: store.snapshot(),
-], ids=["get", "snapshot"])
+    lambda store: ContextManager(store, ("Weather",)).snapshot_meta(),
+], ids=["get", "pass"])
 def test_a_descriptor_that_reads_the_store_raises_instead_of_hanging(store, read):
     reader = _StoreReader()
     reader.store, reader.read = store, read
@@ -556,10 +549,51 @@ def test_a_descriptor_that_reads_the_store_raises_instead_of_hanging(store, read
         (exc,) = outcome
         assert exc.context == "StoreReader"
         assert "must read the view it is handed, not the store" in exc.message
-        assert store.snapshot() == ({("Other", "k"): 0}, 1)  # the store is unchanged
+        assert store.epoch == 1  # the store is unchanged
         assert store.get("Other", "k") == 0  # reads outside a pass still go through
     finally:
         unregister_context("StoreReader")
+
+
+class _Slow(ContextDescriptor):
+    """Sleeps inside every evaluation, so concurrent passes overlap."""
+
+    name = "Slow"
+    runs = []
+
+    def evaluate(self, view):
+        _Slow.runs.append(threading.get_ident())
+        time.sleep(0.05)
+        return {"HIGH" if view.get("Slow", "level", 0) > 5 else "LOW"}
+
+
+def test_concurrent_passes_at_one_new_epoch_run_a_descriptor_once(store):
+    register_context("Slow", _Slow)
+    try:
+        manager = ContextManager(store, ("Slow",))
+        for level, metas in ((1, {"LOW"}), (9, {"HIGH"})):
+            epoch = store.set("Slow", "level", level)
+            _Slow.runs = []
+            barrier = threading.Barrier(4)
+            results = []
+
+            def probe():
+                barrier.wait(timeout=5.0)
+                results.append(manager.snapshot_meta())
+
+            threads = [threading.Thread(target=probe) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=5.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(_Slow.runs) == 1
+            assert len(results) == 4
+            snapshot = results[0][0]
+            assert snapshot == {"Slow": metas}
+            assert all(snap is snapshot and at == epoch for snap, at in results)
+    finally:
+        unregister_context("Slow")
 
 
 def _outcome(manager):
