@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
+import threading
 import traceback
 from dataclasses import dataclass
 from enum import Enum
@@ -99,6 +100,7 @@ class RunConfig:
     dispatch_mode: DispatchMode = DispatchMode.EVENT
     cache_policy: CachePolicy = CachePolicy.NONE
     decision_maker: Union[str, DecisionMaker] = "default"
+    # seconds an event-mode call waits for its reply; in [0, TIMEOUT_MAX]
     decision_timeout: float = DEFAULT_REPLY_TIMEOUT
     # (context, key, value) triples applied to the store before the run
     initial_values: Tuple = ()
@@ -247,6 +249,11 @@ class Runtime:
         self._lowered = lowered
         self._tables = lowered.tables
         self._config = config = config or RunConfig()
+        # the bus's own rule, checked here so that direct mode rejects it too
+        if not 0 <= config.decision_timeout <= threading.TIMEOUT_MAX:  # NaN too
+            raise ValueError(
+                f"decision_timeout must be in [0, TIMEOUT_MAX], got {config.decision_timeout!r}"
+            )
         self._guard = config.cache_policy is CachePolicy.EPOCH_GUARD
         self._println = config.println or (lambda text: print(text))
         self._started = False

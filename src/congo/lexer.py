@@ -7,6 +7,10 @@ from ``#`` to end of line.  The layer-marker sequences ``@(``, ``)+`` and
 plus signs separate tokens) and disambiguated by the parser from their
 position.
 
+Each ``Token`` and its ``SourceSpan`` is built with the C tuple
+constructor (``tuple.__new__``), so a token costs no Python-level call;
+only a string literal calls ``_decode``.
+
 ``tokenize`` runs with the cyclic collector paused (:func:`congo.nodes.gc_paused`).
 """
 
@@ -88,21 +92,22 @@ def tokenize(source: str, file: str = "<string>") -> List[Token]:
     """Tokenize ``source``, ending the stream with a single EOF token."""
     tokens: List[Token] = []
     append = tokens.append
-    line = column = 1
+    new = tuple.__new__  # builds a Token or a SourceSpan with no Python-level call
+    finditer = _TOKEN.finditer
+    # the kinds of the common tokens: an Enum member read off its class is a
+    # Python-level lookup
+    ident, keyword, punct, integer = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT, TokenKind.INT
     for line, text in enumerate(source.split("\n"), 1):
-        for m in _TOKEN.finditer(text):
-            kind, column = m.lastgroup, m.start() + 1
+        for m in finditer(text):  # every line ends with an 'end' match
+            kind, start = m.lastgroup, m.start()
             if kind == "end":
                 break
             word = m.group()
-            span = SourceSpan(file, line, column)
+            span = new(SourceSpan, (file, line, start + 1))
             if kind == "name":
-                append(Token(
-                    TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT,
-                    word, None, span,
-                ))
+                append(new(Token, (keyword if word in KEYWORDS else ident, word, None, span)))
             elif kind == "punct":
-                append(Token(TokenKind.PUNCT, word, None, span))
+                append(new(Token, (punct, word, None, span)))
             elif kind == "int":
                 try:
                     value = int(word)
@@ -111,17 +116,17 @@ def tokenize(source: str, file: str = "<string>") -> List[Token]:
                         f"integer literal has more than {sys.get_int_max_str_digits()} digits",
                         span,
                     ) from None
-                append(Token(TokenKind.INT, word, value, span))
+                append(new(Token, (integer, word, value, span)))
             elif kind == "float":
                 value = float(word)
                 if math.isinf(value):
                     raise LexError("float literal is too large for a double", span)
-                append(Token(TokenKind.FLOAT, word, value, span))
+                append(new(Token, (TokenKind.FLOAT, word, value, span)))
             elif kind == "string":
                 value = _decode(m, span)
-                append(Token(TokenKind.STRING, value, value, span))
+                append(new(Token, (TokenKind.STRING, value, value, span)))
             else:
                 raise LexError(f"illegal character {word!r}", span)
     # the end of the last line, or the '#' of a comment that ends the source
-    append(Token(TokenKind.EOF, "", None, SourceSpan(file, line, column)))
+    append(new(Token, (TokenKind.EOF, "", None, new(SourceSpan, (file, line, start + 1)))))
     return tokens

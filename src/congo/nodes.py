@@ -263,6 +263,13 @@ Node = Union[Expr, Stmt, LayerAnnotation, FunctionDecl, ContextDecl, ModuleAst]
 NODE_TYPES = get_args(Node)
 
 
+# The fields walk reads of each node class, in declared order: all but the
+# span, which is a tuple too but never holds a node.
+_CHILD_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.name != "span") for cls in NODE_TYPES
+}
+
+
 def walk(node: Node, into_lambdas: bool = True) -> Iterator[Node]:
     """Yield ``node`` and every AST node nested beneath it; nested lambdas
     and everything in them only if ``into_lambdas``."""
@@ -270,9 +277,8 @@ def walk(node: Node, into_lambdas: bool = True) -> Iterator[Node]:
     while stack:
         current = stack.pop()
         yield current
-        for f in fields(current):
-            value = getattr(current, f.name)
-            # a span is a tuple too, but never holds a node
+        for name in _CHILD_FIELDS[type(current)]:
+            value = getattr(current, name)
             for child in value if type(value) is tuple else (value,):
                 if isinstance(child, NODE_TYPES) and (
                     into_lambdas or not isinstance(child, Lambda)

@@ -20,6 +20,9 @@ the receiver's last token; a ``return`` value must start on the
 the operand it follows (break a long expression after an operator,
 never before one).
 
+The parser reads the current token in place; only lookahead past it
+clamps at the end, reading the EOF token there (see the token plumbing).
+
 ``parse`` and ``parse_source`` run with the cyclic collector paused
 (:func:`congo.nodes.gc_paused`).
 """
@@ -31,6 +34,11 @@ from typing import List, Optional, Sequence, Set, Tuple
 from . import nodes
 from .errors import DuplicateBaseError, ParseError
 from .lexer import Token, TokenKind, tokenize
+
+# the token kinds as module constants: reading an Enum member off its class
+# costs a Python-level attribute lookup every time
+_IDENT, _KEYWORD, _PUNCT, _EOF = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT, TokenKind.EOF
+_INT, _FLOAT, _STRING = TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING
 
 _VALUE_START_PUNCT = {"(", "|", "||", "-"}
 _VALUE_START_KEYWORDS = {"true", "false", "null", "not"}
@@ -46,34 +54,41 @@ PRECEDENCE = {
 class Parser:
     def __init__(self, tokens: Sequence[Token]):
         self._tokens = list(tokens)
+        if not self._tokens or self._tokens[-1].kind is not _EOF:
+            raise ValueError("a token stream must end with its EOF token")
         self._pos = 0
+        self._last = len(self._tokens) - 1
 
     # --- token plumbing ---------------------------------------------------
+    #
+    # The stream ends with its EOF token (checked above) and _advance never
+    # moves past it, so the current token is always self._tokens[self._pos]; only lookahead
+    # (offset > 0) clamps, reading EOF past the end.  Tests compare a
+    # token's text before its kind: a text rules out most tokens at once,
+    # and the kind then tells a punctuator from a string with the same text.
 
     def _peek(self, offset: int = 0) -> Token:
-        pos = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[pos]
-
-    def _prev(self) -> Token:
-        return self._tokens[self._pos - 1]
+        if offset:
+            return self._tokens[min(self._pos + offset, self._last)]
+        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         tok = self._tokens[self._pos]
-        if tok.kind is not TokenKind.EOF:
+        if tok.kind is not _EOF:
             self._pos += 1
         return tok
 
     def _at(self, kind: TokenKind, text: Optional[str] = None) -> bool:
-        tok = self._peek()
-        return tok.kind is kind and (text is None or tok.text == text)
+        tok = self._tokens[self._pos]
+        return (text is None or tok.text == text) and tok.kind is kind
 
     def _at_punct(self, text: str, offset: int = 0) -> bool:
-        tok = self._peek(offset)
-        return tok.kind is TokenKind.PUNCT and tok.text == text
+        tok = self._peek(offset) if offset else self._tokens[self._pos]
+        return tok.text == text and tok.kind is _PUNCT
 
     def _error(self, expected: Set[str]) -> ParseError:
-        tok = self._peek()
-        found = tok.text if tok.kind is not TokenKind.EOF else "end of input"
+        tok = self._tokens[self._pos]
+        found = tok.text if tok.kind is not _EOF else "end of input"
         wanted = ", ".join(sorted(expected))
         return ParseError(
             f"expected {wanted}, found '{found}'", tok.span, expected=expected
@@ -81,20 +96,23 @@ class Parser:
 
     def _expect(self, kind: TokenKind, text: Optional[str] = None,
                 label: Optional[str] = None) -> Token:
-        if self._at(kind, text):
-            return self._advance()
+        """Consume the current token if it is ``kind`` (never EOF) with ``text``."""
+        tok = self._tokens[self._pos]
+        if (text is None or tok.text == text) and tok.kind is kind:
+            self._pos += 1
+            return tok
         raise self._error({label or text or kind.value})
 
     # --- module and declarations -------------------------------------------
 
     def parse_module(self) -> nodes.ModuleAst:
-        start = self._expect(TokenKind.KEYWORD, "module")
+        start = self._expect(_KEYWORD, "module")
         name = self._dotted_name()
         context_decl: Optional[nodes.ContextDecl] = None
         decls: List[nodes.FunctionDecl] = []
         base_names: Set[str] = set()
-        while not self._at(TokenKind.EOF):
-            if self._at(TokenKind.KEYWORD, "function"):
+        while not self._at(_EOF):
+            if self._at(_KEYWORD, "function"):
                 decl = self._function_decl()
                 if decl.fn.annotation is None:
                     if decl.name in base_names:
@@ -117,15 +135,15 @@ class Parser:
         return nodes.ModuleAst(name, context_decl, tuple(decls), start.span)
 
     def _dotted_name(self) -> str:
-        parts = [self._expect(TokenKind.IDENT, label="module name").text]
+        parts = [self._expect(_IDENT, label="module name").text]
         while self._at_punct("."):
             self._advance()
-            parts.append(self._expect(TokenKind.IDENT, label="name segment").text)
+            parts.append(self._expect(_IDENT, label="name segment").text)
         return ".".join(parts)
 
     def _is_context_decl_start(self) -> bool:
         return (
-            self._at(TokenKind.IDENT)
+            self._at(_IDENT)
             and self._peek().text == "contexts"
             and self._at_punct("=", 1)
             and self._at_punct("[", 2)
@@ -133,25 +151,25 @@ class Parser:
 
     def _context_decl(self) -> nodes.ContextDecl:
         start = self._advance()  # 'contexts'
-        self._expect(TokenKind.PUNCT, "=")
-        self._expect(TokenKind.PUNCT, "[")
+        self._expect(_PUNCT, "=")
+        self._expect(_PUNCT, "[")
         ctors = [self._ctor()]
         while self._at_punct(","):
             self._advance()
             ctors.append(self._ctor())
-        self._expect(TokenKind.PUNCT, "]")
+        self._expect(_PUNCT, "]")
         return nodes.ContextDecl(tuple(ctors), start.span)
 
     def _ctor(self) -> str:
-        name = self._expect(TokenKind.IDENT, label="context constructor").text
-        self._expect(TokenKind.PUNCT, "(")
-        self._expect(TokenKind.PUNCT, ")")
+        name = self._expect(_IDENT, label="context constructor").text
+        self._expect(_PUNCT, "(")
+        self._expect(_PUNCT, ")")
         return name
 
     def _function_decl(self) -> nodes.FunctionDecl:
         start = self._advance()  # 'function'
-        name = self._expect(TokenKind.IDENT, label="function name").text
-        self._expect(TokenKind.PUNCT, "=")
+        name = self._expect(_IDENT, label="function name").text
+        self._expect(_PUNCT, "=")
         fn = self._lambda()
         return nodes.FunctionDecl(name, fn, start.span)
 
@@ -177,11 +195,11 @@ class Parser:
         if self._at_punct("||"):
             self._advance()
             return []
-        self._expect(TokenKind.PUNCT, "|")
+        self._expect(_PUNCT, "|")
         params: List[str] = []
         if not self._at_punct("|"):
             while True:
-                tok = self._expect(TokenKind.IDENT, label="parameter name")
+                tok = self._expect(_IDENT, label="parameter name")
                 if tok.text in params:
                     raise ParseError(
                         f"duplicate parameter '{tok.text}'", tok.span,
@@ -192,7 +210,7 @@ class Parser:
                     self._advance()
                     continue
                 break
-        self._expect(TokenKind.PUNCT, "|")
+        self._expect(_PUNCT, "|")
         return params
 
     def _annotation(self) -> Optional[nodes.LayerAnnotation]:
@@ -212,61 +230,61 @@ class Parser:
         return None
 
     def _constraints(self) -> Tuple[Tuple[str, str], ...]:
-        self._expect(TokenKind.PUNCT, "@(")
+        self._expect(_PUNCT, "@(")
         pairs: List[Tuple[str, str]] = []
         seen: Set[str] = set()
         while True:
-            ctx = self._expect(TokenKind.IDENT, label="context name")
+            ctx = self._expect(_IDENT, label="context name")
             if ctx.text in seen:
                 raise ParseError(
                     f"duplicate context '{ctx.text}' in annotation", ctx.span,
                     expected={"a distinct context name"},
                 )
             seen.add(ctx.text)
-            self._expect(TokenKind.PUNCT, "=")
-            meta = self._expect(TokenKind.IDENT, label="meta value")
+            self._expect(_PUNCT, "=")
+            meta = self._expect(_IDENT, label="meta value")
             pairs.append((ctx.text, meta.text))
             if self._at_punct(","):
                 self._advance()
                 continue
             break
-        self._expect(TokenKind.PUNCT, ")")
+        self._expect(_PUNCT, ")")
         return tuple(pairs)
 
     # --- statements -----------------------------------------------------------
 
     def _block(self) -> nodes.Block:
-        start = self._expect(TokenKind.PUNCT, "{")
+        start = self._expect(_PUNCT, "{")
         stmts: List[nodes.Stmt] = []
         while not self._at_punct("}"):
-            if self._at(TokenKind.EOF):
+            if self._at(_EOF):
                 raise self._error({"}"})
             stmts.append(self._statement())
-        self._expect(TokenKind.PUNCT, "}")
+        self._expect(_PUNCT, "}")
         return nodes.Block(tuple(stmts), start.span)
 
     def _statement(self) -> nodes.Stmt:
-        if self._at(TokenKind.KEYWORD, "let"):
+        if self._at(_KEYWORD, "let"):
             start = self._advance()
-            name = self._expect(TokenKind.IDENT, label="variable name").text
-            self._expect(TokenKind.PUNCT, "=")
+            name = self._expect(_IDENT, label="variable name").text
+            self._expect(_PUNCT, "=")
             return nodes.LetStmt(name, self._expression(), start.span)
-        if self._at(TokenKind.KEYWORD, "return"):
+        if self._at(_KEYWORD, "return"):
             start = self._advance()
             # the value must start on the return's own line; a value-looking
             # token on the next line is the start of the next statement
             same_line = self._peek().span.line == start.span.line
             value = self._expression() if same_line and self._starts_value() else None
             return nodes.ReturnStmt(value, start.span)
-        if self._at(TokenKind.KEYWORD, "if"):
+        if self._at(_KEYWORD, "if"):
             return self._if_stmt()
-        if self._at(TokenKind.KEYWORD, "while"):
+        if self._at(_KEYWORD, "while"):
             start = self._advance()
             cond = self._expression()
             return nodes.WhileStmt(cond, self._block(), start.span)
         if self._at_punct("{"):
             return self._block()
-        if self._at(TokenKind.IDENT) and self._at_punct("=", 1):
+        if self._at(_IDENT) and self._at_punct("=", 1):
             tok = self._advance()
             self._advance()  # '='
             return nodes.AssignStmt(tok.text, self._expression(), tok.span)
@@ -278,9 +296,9 @@ class Parser:
         cond = self._expression()
         then = self._block()
         orelse: Optional[nodes.Block | nodes.IfStmt] = None
-        if self._at(TokenKind.KEYWORD, "else"):
+        if self._at(_KEYWORD, "else"):
             self._advance()
-            if self._at(TokenKind.KEYWORD, "if"):
+            if self._at(_KEYWORD, "if"):
                 orelse = self._if_stmt()
             else:
                 orelse = self._block()
@@ -288,11 +306,11 @@ class Parser:
 
     def _starts_value(self) -> bool:
         tok = self._peek()
-        if tok.kind in (TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING, TokenKind.IDENT):
+        if tok.kind in (_INT, _FLOAT, _STRING, _IDENT):
             return True
-        if tok.kind is TokenKind.KEYWORD and tok.text in _VALUE_START_KEYWORDS:
+        if tok.kind is _KEYWORD and tok.text in _VALUE_START_KEYWORDS:
             return True
-        return tok.kind is TokenKind.PUNCT and tok.text in _VALUE_START_PUNCT
+        return tok.kind is _PUNCT and tok.text in _VALUE_START_PUNCT
 
     # --- expressions -----------------------------------------------------------
 
@@ -300,89 +318,92 @@ class Parser:
         """Precedence climbing: one loop covers every level, so a nested operand costs
         one frame, not one per level."""
         left = self._unary()
+        tokens = self._tokens
         while True:
-            tok = self._peek()
-            level = PRECEDENCE.get(tok.text) if tok.kind is TokenKind.PUNCT else None
+            tok = tokens[self._pos]
+            level = PRECEDENCE.get(tok.text)
             if (
                 level is None
                 or level < min_level
+                or tok.kind is not _PUNCT
                 # an operator continues the expression only from the operand's
                 # line; break after an operator, never before one
-                or tok.span.line != self._prev().span.line
+                or tok.span.line != tokens[self._pos - 1].span.line
             ):
                 return left
-            self._advance()
+            self._pos += 1
             right = self._expression(level + 1)
             left = nodes.BinaryOp(tok.text, left, right, tok.span)
 
     def _unary(self) -> nodes.Expr:
-        if self._at_punct("-"):
-            tok = self._advance()
-            return nodes.UnaryOp("-", self._unary(), tok.span)
-        if self._at(TokenKind.KEYWORD, "not"):
-            tok = self._advance()
-            return nodes.UnaryOp("not", self._unary(), tok.span)
+        tok = self._tokens[self._pos]
+        if (tok.text == "-" and tok.kind is _PUNCT) or (
+            tok.text == "not" and tok.kind is _KEYWORD
+        ):
+            self._pos += 1
+            return nodes.UnaryOp(tok.text, self._unary(), tok.span)
         return self._postfix()
 
     def _postfix(self) -> nodes.Expr:
         expr = self._primary()
+        tokens = self._tokens
         while (
-            self._at_punct(":")
-            and self._peek().span.line == self._prev().span.line
-            and self._peek(1).kind is TokenKind.IDENT
+            (colon := tokens[self._pos]).text == ":"
+            and colon.kind is _PUNCT
+            and colon.span.line == tokens[self._pos - 1].span.line
+            and self._peek(1).kind is _IDENT
             and self._at_punct("(", 2)
         ):
-            colon = self._advance()
-            name = self._advance().text
+            self._pos += 2
+            name = tokens[self._pos - 1].text
             args = self._call_args()
             expr = nodes.MethodCall(expr, name, args, colon.span)
         return expr
 
     def _primary(self) -> nodes.Expr:
-        tok = self._peek()
-        if tok.kind is TokenKind.INT:
-            self._advance()
-            return nodes.IntLit(tok.value, tok.span)
-        if tok.kind is TokenKind.FLOAT:
-            self._advance()
-            return nodes.FloatLit(tok.value, tok.span)
-        if tok.kind is TokenKind.STRING:
-            self._advance()
-            return nodes.StringLit(tok.value, tok.span)
-        if tok.kind is TokenKind.KEYWORD and tok.text in ("true", "false"):
-            self._advance()
-            return nodes.BoolLit(tok.text == "true", tok.span)
-        if tok.kind is TokenKind.KEYWORD and tok.text == "null":
-            self._advance()
-            return nodes.NullLit(tok.span)
-        if tok.kind is TokenKind.IDENT:
-            self._advance()
-            call_follows = (
-                self._at_punct("(") and self._peek().span.line == tok.span.line
-            )
-            if tok.text == "proceed" and call_follows:
-                return nodes.Proceed(self._call_args(), tok.span)
-            if call_follows:
+        tok = self._tokens[self._pos]
+        kind = tok.kind
+        if kind is _IDENT:
+            self._pos += 1
+            nxt = self._tokens[self._pos]
+            if nxt.text == "(" and nxt.kind is _PUNCT and nxt.span.line == tok.span.line:
+                if tok.text == "proceed":
+                    return nodes.Proceed(self._call_args(), tok.span)
                 return nodes.Call(tok.text, self._call_args(), tok.span)
             return nodes.Ident(tok.text, tok.span)
-        if tok.kind is TokenKind.PUNCT and tok.text == "(":
-            self._advance()
+        if kind is _INT:
+            self._pos += 1
+            return nodes.IntLit(tok.value, tok.span)
+        if kind is _PUNCT and tok.text == "(":
+            self._pos += 1
             expr = self._expression()
-            self._expect(TokenKind.PUNCT, ")")
+            self._expect(_PUNCT, ")")
             return expr
-        if tok.kind is TokenKind.PUNCT and tok.text in ("|", "||"):
+        if kind is _PUNCT and tok.text in ("|", "||"):
             return self._lambda()
+        if kind is _FLOAT:
+            self._pos += 1
+            return nodes.FloatLit(tok.value, tok.span)
+        if kind is _STRING:
+            self._pos += 1
+            return nodes.StringLit(tok.value, tok.span)
+        if kind is _KEYWORD and tok.text in ("true", "false"):
+            self._pos += 1
+            return nodes.BoolLit(tok.text == "true", tok.span)
+        if kind is _KEYWORD and tok.text == "null":
+            self._pos += 1
+            return nodes.NullLit(tok.span)
         raise self._error({"a literal", "an identifier", "(", "|"})
 
     def _call_args(self) -> Tuple[nodes.Expr, ...]:
-        self._expect(TokenKind.PUNCT, "(")
+        self._expect(_PUNCT, "(")
         args: List[nodes.Expr] = []
         if not self._at_punct(")"):
             args.append(self._expression())
             while self._at_punct(","):
                 self._advance()
                 args.append(self._expression())
-        self._expect(TokenKind.PUNCT, ")")
+        self._expect(_PUNCT, ")")
         return tuple(args)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import sys
 import threading
 import time
@@ -1427,6 +1428,18 @@ def test_slow_maker_times_out_in_event_mode():
         run(lowered, entry="main", args=(0,), config=config)
     span = err.value.span  # the call f(d) in main
     assert (span.line, span.column) == (5, 24)
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+@pytest.mark.parametrize(
+    "timeout", [-0.5, math.nan, threading.TIMEOUT_MAX * 2],
+    ids=["negative", "nan", "too_large"],
+)
+def test_a_bad_decision_timeout_is_rejected_when_the_runtime_is_built(mode, timeout):
+    lowered = compile_source(LAYERED, file="<test>")
+    config = RunConfig(dispatch_mode=mode, decision_timeout=timeout)
+    with pytest.raises(ValueError, match=r"decision_timeout must be in \[0, TIMEOUT_MAX\]"):
+        Runtime(lowered, config)
 
 
 def test_a_reply_decided_after_shutdown_is_dropped_without_a_log_record(caplog):
