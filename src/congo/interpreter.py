@@ -113,9 +113,9 @@ class RunConfig:
 
 @dataclass(eq=False)
 class FunctionValue:
-    lam: nodes.Lambda
-    frame: list  # the frame the lambda closes over
-    name: str = "<lambda>"
+    body: nodes.Lambda
+    closure_frame: list  # the frame the lambda closes over
+    name = "<lambda>"  # not a field: every local function has this name
 
 
 @dataclass(eq=False)
@@ -286,9 +286,8 @@ class Runtime:
         # The epoch guard's memory, keyed by the site id of the call node,
         # or by function name for calls from the host.  Each entry is what
         # the last decision there needs to run again: (store epoch, receiver
-        # identity, receiver version, the first variant's body, closure
-        # frame and name, the rest of the chain); a function has no receiver,
-        # so None for both.
+        # identity, receiver version, the first variant, the rest of the
+        # chain); a function has no receiver, so None for both.
         self._sites: Dict[Union[int, str], Tuple] = {}
         self._request_ids = itertools.count(1)
         self._request_topic = request_topic_for(self._lowered.name)
@@ -307,13 +306,11 @@ class Runtime:
         span, args = (table.base or table.layers[0]).body.span, tuple(args)
         try:  # the same three paths as a call site, keyed by the function's name
             if not table.layers:
-                base = table.base
-                return self._invoke(base.body, base.closure_frame,
-                                    base.variant_id.mangled_name, span, (), args, None)
+                return self._invoke(table.base, span, (), args, None)
             if self._guard:
                 hit = self._sites.get(name)
                 if hit is not None and hit[0] == self.store.epoch:
-                    return self._invoke(hit[3], hit[4], hit[5], span, hit[6], args, None)
+                    return self._invoke(hit[3], span, hit[4], args, None)
             return self._dispatch(table, None, args, span, name)
         except CongoRuntimeError as exc:
             if exc.unwound:
@@ -343,9 +340,9 @@ class Runtime:
         table = obj.methods.get(name) or VariantTable(name)
         add_variant(
             table,
-            fn.lam,
+            fn.body,
             declared_contexts=self._lowered.context_ctors,
-            closure_frame=fn.frame,
+            closure_frame=fn.closure_frame,
             span=span,
         )
         obj.methods[name] = table  # only once it holds a variant
@@ -438,32 +435,31 @@ class Runtime:
             raise
         chain = validate_response(request, reply, span, data)
         first, rest = chain[0], chain[1:]
-        lam, closure, name = first.body, first.closure_frame, first.variant_id.mangled_name
         if self._guard:
-            self._sites[site_key] = (epoch, identity, version, lam, closure, name, rest)
-        return self._invoke(lam, closure, name, span, rest, args, receiver)
+            self._sites[site_key] = (epoch, identity, version, first, rest)
+        return self._invoke(first, span, rest, args, receiver)
 
     def _invoke(
         self,
-        lam: nodes.Lambda,
-        closure: Optional[list],  # the frame it closes over, None at module level
-        name: str,
+        callee: Union[Variant, FunctionValue],
         span,
         remaining: Optional[Tuple[Variant, ...]],  # None for a local lambda
         args: Tuple,
         receiver: Optional[DynObject],
     ) -> Value:
         """Run one ConGo body: a variant, whose ``remaining`` chain proceed()
-        steps into, or a local lambda.  A method's receiver is its first
-        parameter.  An error that leaves the body records ``name`` and
-        ``span``, the call it unwinds."""
+        steps into, or a local lambda.  The callee's ``closure_frame`` is the
+        frame its body closes over, None at module level.  A method's
+        receiver is its first parameter.  An error that leaves the body
+        records the callee's ``name`` and ``span``, the call it unwinds."""
+        lam = callee.body
         if receiver is None:
-            frame = [closure, remaining, args, None, *args]
+            frame = [callee.closure_frame, remaining, args, None, *args]
         else:
-            frame = [closure, remaining, args, receiver, receiver, *args]
+            frame = [callee.closure_frame, remaining, args, receiver, receiver, *args]
         if len(frame) != lam.frame_size:
             raise CallArityError(
-                f"'{name}' expects {len(lam.params)} argument(s), "
+                f"'{callee.name}' expects {len(lam.params)} argument(s), "
                 f"got {len(args) + (receiver is not None)}",
                 span,
             )
@@ -473,7 +469,7 @@ class Runtime:
                 code = lam.code = _compile_lambda(lam)
             return code(self, frame)
         except CongoRuntimeError as exc:
-            exc.unwound.append((name, span))
+            exc.unwound.append((callee.name, span))
             raise
         except RecursionError:
             # Count the nested calls only now: the _invoke frames on the
@@ -485,7 +481,7 @@ class Runtime:
                 calls += here.f_code is invoke
                 here = here.f_back
             error = StackOverflowError(f"stack exhausted after {calls} nested calls", span)
-            error.unwound.append((name, span))
+            error.unwound.append((callee.name, span))
             raise error from None
 
     # --- builtin functions --------------------------------------------------------
@@ -521,8 +517,7 @@ class Runtime:
                 ) from None
             self._changed_topics[context] = topic
         epoch = self.store.set(context, key, value)
-        if not self.bus.closed:
-            self.bus.publish(topic, ContextChanged(context, key, value, epoch))
+        self.bus.publish(topic, ContextChanged(context, key, value, epoch))
         return None
 
     def _builtin_current_meta(self, args: Tuple, span) -> Value:
@@ -847,13 +842,11 @@ def _compile_call(expr: nodes.Call, scope: _Scope) -> Callable:
         if table is not None:
             values = args(interp, frame)
             if not table.layers:
-                base = table.base
-                return interp._invoke(base.body, base.closure_frame,
-                                      base.variant_id.mangled_name, span, (), values, None)
+                return interp._invoke(table.base, span, (), values, None)
             if interp._guard:
                 hit = interp._sites.get(site)
                 if hit is not None and hit[0] == interp.store.epoch:
-                    return interp._invoke(hit[3], hit[4], hit[5], span, hit[6], values, None)
+                    return interp._invoke(hit[3], span, hit[4], values, None)
             return interp._dispatch(table, None, values, span, site)
         builtin = interp._BUILTINS.get(name)
         if builtin is not None:
@@ -877,9 +870,7 @@ def _compile_call(expr: nodes.Call, scope: _Scope) -> Callable:
             return call(interp, frame)
         if not isinstance(fn, FunctionValue):
             raise CongoTypeError(f"'{name}' is not callable", span)
-        return interp._invoke(
-            fn.lam, fn.frame, fn.name, span, None, args(interp, frame), None
-        )
+        return interp._invoke(fn, span, None, args(interp, frame), None)
 
     return local_call
 
@@ -901,15 +892,12 @@ def _compile_method(expr: nodes.MethodCall, scope: _Scope) -> Callable:
         table = receiver.methods.get(name)
         if table is not None:  # the same three paths as a function call
             if not table.layers:
-                base = table.base
-                return interp._invoke(base.body, base.closure_frame,
-                                      base.variant_id.mangled_name, span, (), values, receiver)
+                return interp._invoke(table.base, span, (), values, receiver)
             if interp._guard:
                 hit = interp._sites.get(site)
                 if hit is not None and hit[0] == interp.store.epoch \
                         and hit[1] == receiver.identity and hit[2] == receiver.version:
-                    return interp._invoke(hit[3], hit[4], hit[5], span, hit[6],
-                                          values, receiver)
+                    return interp._invoke(hit[3], span, hit[4], values, receiver)
             return interp._dispatch(table, receiver, values, span, site)
         # dynamic property access: zero args reads, one arg writes
         if not values:
@@ -948,9 +936,7 @@ def _compile_proceed(expr: nodes.Proceed, scope: _Scope) -> Callable:
                 "proceed called but the variant chain is exhausted", span
             )
         sent = call[2] if args is None else args(interp, frame)
-        step = remaining[0]
-        return interp._invoke(step.body, step.closure_frame, step.variant_id.mangled_name,
-                              span, remaining[1:], sent, call[3])
+        return interp._invoke(remaining[0], span, remaining[1:], sent, call[3])
 
     return proceed
 

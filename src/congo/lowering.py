@@ -71,6 +71,10 @@ class Variant:
     # set by the runtime for object methods, which close over a frame
     closure_frame: object = field(default=None, repr=False, compare=False)
 
+    @property
+    def name(self) -> str:  # the name a call stack shows
+        return self.variant_id.mangled_name
+
 
 class DispatchData(NamedTuple):
     """What every contextual call of one table needs from it."""

@@ -20,8 +20,10 @@ the receiver's last token; a ``return`` value must start on the
 the operand it follows (break a long expression after an operator,
 never before one).
 
-The parser reads the current token in place; only lookahead past it
-clamps at the end, reading the EOF token there (see the token plumbing).
+The parser reads the current token in place, and ``_statement``,
+``_block`` and ``parse_module`` branch on its kind and text; only
+lookahead past it clamps at the end, reading the EOF token there (see the
+token plumbing).
 
 ``parse`` and ``parse_source`` run with the cyclic collector paused
 (:func:`congo.nodes.gc_paused`).
@@ -61,26 +63,25 @@ class Parser:
 
     # --- token plumbing ---------------------------------------------------
     #
-    # The stream ends with its EOF token (checked above) and _advance never
-    # moves past it, so the current token is always self._tokens[self._pos]; only lookahead
-    # (offset > 0) clamps, reading EOF past the end.  Tests compare a
-    # token's text before its kind: a text rules out most tokens at once,
-    # and the kind then tells a punctuator from a string with the same text.
+    # The stream ends with its EOF token (checked above) and neither _accept
+    # nor _expect consumes it, so the current token is always
+    # self._tokens[self._pos]; only lookahead (offset > 0) clamps, reading
+    # EOF past the end.  Tests compare a token's text before its kind: a
+    # text rules out most tokens at once, and the kind then tells a
+    # punctuator or keyword from a string with the same text.
 
     def _peek(self, offset: int = 0) -> Token:
         if offset:
             return self._tokens[min(self._pos + offset, self._last)]
         return self._tokens[self._pos]
 
-    def _advance(self) -> Token:
+    def _accept(self, text: str, kind: TokenKind = _PUNCT) -> Optional[Token]:
+        """Consume and return the current token if it is ``kind`` with ``text``, else None."""
         tok = self._tokens[self._pos]
-        if tok.kind is not _EOF:
+        if tok.text == text and tok.kind is kind:
             self._pos += 1
-        return tok
-
-    def _at(self, kind: TokenKind, text: Optional[str] = None) -> bool:
-        tok = self._tokens[self._pos]
-        return (text is None or tok.text == text) and tok.kind is kind
+            return tok
+        return None
 
     def _at_punct(self, text: str, offset: int = 0) -> bool:
         tok = self._peek(offset) if offset else self._tokens[self._pos]
@@ -111,8 +112,9 @@ class Parser:
         context_decl: Optional[nodes.ContextDecl] = None
         decls: List[nodes.FunctionDecl] = []
         base_names: Set[str] = set()
-        while not self._at(_EOF):
-            if self._at(_KEYWORD, "function"):
+        tokens = self._tokens
+        while (tok := tokens[self._pos]).kind is not _EOF:
+            if tok.text == "function" and tok.kind is _KEYWORD:
                 decl = self._function_decl()
                 if decl.fn.annotation is None:
                     if decl.name in base_names:
@@ -122,11 +124,12 @@ class Parser:
                         )
                     base_names.add(decl.name)
                 decls.append(decl)
-            elif self._is_context_decl_start():
+            elif (tok.text == "contexts" and tok.kind is _IDENT
+                  and self._at_punct("=", 1) and self._at_punct("[", 2)):
                 if context_decl is not None:
                     raise ParseError(
                         "duplicate contexts declaration",
-                        self._peek().span,
+                        tok.span,
                         expected={"function"},
                     )
                 context_decl = self._context_decl()
@@ -136,26 +139,16 @@ class Parser:
 
     def _dotted_name(self) -> str:
         parts = [self._expect(_IDENT, label="module name").text]
-        while self._at_punct("."):
-            self._advance()
+        while self._accept("."):
             parts.append(self._expect(_IDENT, label="name segment").text)
         return ".".join(parts)
 
-    def _is_context_decl_start(self) -> bool:
-        return (
-            self._at(_IDENT)
-            and self._peek().text == "contexts"
-            and self._at_punct("=", 1)
-            and self._at_punct("[", 2)
-        )
-
     def _context_decl(self) -> nodes.ContextDecl:
-        start = self._advance()  # 'contexts'
+        start = self._expect(_IDENT, "contexts")
         self._expect(_PUNCT, "=")
         self._expect(_PUNCT, "[")
         ctors = [self._ctor()]
-        while self._at_punct(","):
-            self._advance()
+        while self._accept(","):
             ctors.append(self._ctor())
         self._expect(_PUNCT, "]")
         return nodes.ContextDecl(tuple(ctors), start.span)
@@ -167,7 +160,7 @@ class Parser:
         return name
 
     def _function_decl(self) -> nodes.FunctionDecl:
-        start = self._advance()  # 'function'
+        start = self._expect(_KEYWORD, "function")
         name = self._expect(_IDENT, label="function name").text
         self._expect(_PUNCT, "=")
         fn = self._lambda()
@@ -179,8 +172,7 @@ class Parser:
         start = self._peek()
         params = self._params()
         annotation = self._annotation()
-        if self._at_punct("->"):
-            self._advance()
+        if self._accept("->"):
             body: nodes.Block | nodes.Expr = self._expression()
         elif self._at_punct("{"):
             body = self._block()
@@ -192,8 +184,7 @@ class Parser:
         return nodes.Lambda(tuple(params), annotation, body, start.span)
 
     def _params(self) -> List[str]:
-        if self._at_punct("||"):
-            self._advance()
+        if self._accept("||"):
             return []
         self._expect(_PUNCT, "|")
         params: List[str] = []
@@ -206,26 +197,22 @@ class Parser:
                         expected={"a distinct parameter name"},
                     )
                 params.append(tok.text)
-                if self._at_punct(","):
-                    self._advance()
-                    continue
-                break
+                if not self._accept(","):
+                    break
         self._expect(_PUNCT, "|")
         return params
 
     def _annotation(self) -> Optional[nodes.LayerAnnotation]:
-        if self._at_punct("+") and self._at_punct("@(", 1):
-            start = self._advance()  # '+'
+        start = self._tokens[self._pos]
+        if start.kind is not _PUNCT:
+            return None
+        if start.text == "+" and self._at_punct("@(", 1):
+            self._pos += 1
             constraints = self._constraints()
             return nodes.LayerAnnotation(constraints, nodes.LayerMode.AFTER_BASE, start.span)
-        if self._at_punct("@("):
-            start = self._peek()
+        if start.text == "@(":
             constraints = self._constraints()
-            if self._at_punct("+"):
-                self._advance()
-                mode = nodes.LayerMode.BEFORE_BASE
-            else:
-                mode = nodes.LayerMode.REPLACE
+            mode = nodes.LayerMode.BEFORE_BASE if self._accept("+") else nodes.LayerMode.REPLACE
             return nodes.LayerAnnotation(constraints, mode, start.span)
         return None
 
@@ -244,10 +231,8 @@ class Parser:
             self._expect(_PUNCT, "=")
             meta = self._expect(_IDENT, label="meta value")
             pairs.append((ctx.text, meta.text))
-            if self._at_punct(","):
-                self._advance()
-                continue
-            break
+            if not self._accept(","):
+                break
         self._expect(_PUNCT, ")")
         return tuple(pairs)
 
@@ -256,49 +241,53 @@ class Parser:
     def _block(self) -> nodes.Block:
         start = self._expect(_PUNCT, "{")
         stmts: List[nodes.Stmt] = []
-        while not self._at_punct("}"):
-            if self._at(_EOF):
+        tokens = self._tokens
+        while (tok := tokens[self._pos]).text != "}" or tok.kind is not _PUNCT:
+            if tok.kind is _EOF:
                 raise self._error({"}"})
             stmts.append(self._statement())
-        self._expect(_PUNCT, "}")
+        self._pos += 1
         return nodes.Block(tuple(stmts), start.span)
 
     def _statement(self) -> nodes.Stmt:
-        if self._at(_KEYWORD, "let"):
-            start = self._advance()
-            name = self._expect(_IDENT, label="variable name").text
-            self._expect(_PUNCT, "=")
-            return nodes.LetStmt(name, self._expression(), start.span)
-        if self._at(_KEYWORD, "return"):
-            start = self._advance()
-            # the value must start on the return's own line; a value-looking
-            # token on the next line is the start of the next statement
-            same_line = self._peek().span.line == start.span.line
-            value = self._expression() if same_line and self._starts_value() else None
-            return nodes.ReturnStmt(value, start.span)
-        if self._at(_KEYWORD, "if"):
-            return self._if_stmt()
-        if self._at(_KEYWORD, "while"):
-            start = self._advance()
-            cond = self._expression()
-            return nodes.WhileStmt(cond, self._block(), start.span)
-        if self._at_punct("{"):
+        tok = self._tokens[self._pos]
+        kind, text = tok.kind, tok.text
+        if kind is _KEYWORD:
+            if text == "let":
+                self._pos += 1
+                name = self._expect(_IDENT, label="variable name").text
+                self._expect(_PUNCT, "=")
+                return nodes.LetStmt(name, self._expression(), tok.span)
+            if text == "return":
+                self._pos += 1
+                # the value must start on the return's own line; a value-looking
+                # token on the next line is the start of the next statement
+                same_line = self._tokens[self._pos].span.line == tok.span.line
+                value = self._expression() if same_line and self._starts_value() else None
+                return nodes.ReturnStmt(value, tok.span)
+            if text == "if":
+                return self._if_stmt()
+            if text == "while":
+                self._pos += 1
+                cond = self._expression()
+                return nodes.WhileStmt(cond, self._block(), tok.span)
+        elif text == "{" and kind is _PUNCT:
             return self._block()
-        if self._at(_IDENT) and self._at_punct("=", 1):
-            tok = self._advance()
-            self._advance()  # '='
-            return nodes.AssignStmt(tok.text, self._expression(), tok.span)
+        elif kind is _IDENT and self._at_punct("=", 1):
+            self._pos += 2
+            return nodes.AssignStmt(text, self._expression(), tok.span)
         expr = self._expression()
         return nodes.ExprStmt(expr, expr.span)
 
     def _if_stmt(self) -> nodes.IfStmt:
-        start = self._advance()  # 'if'
+        start = self._tokens[self._pos]  # 'if'
+        self._pos += 1
         cond = self._expression()
         then = self._block()
         orelse: Optional[nodes.Block | nodes.IfStmt] = None
-        if self._at(_KEYWORD, "else"):
-            self._advance()
-            if self._at(_KEYWORD, "if"):
+        if self._accept("else", _KEYWORD):
+            tok = self._tokens[self._pos]
+            if tok.text == "if" and tok.kind is _KEYWORD:
                 orelse = self._if_stmt()
             else:
                 orelse = self._block()
@@ -397,12 +386,11 @@ class Parser:
 
     def _call_args(self) -> Tuple[nodes.Expr, ...]:
         self._expect(_PUNCT, "(")
-        args: List[nodes.Expr] = []
-        if not self._at_punct(")"):
+        if self._accept(")"):
+            return ()
+        args = [self._expression()]
+        while self._accept(","):
             args.append(self._expression())
-            while self._at_punct(","):
-                self._advance()
-                args.append(self._expression())
         self._expect(_PUNCT, ")")
         return tuple(args)
 

@@ -140,6 +140,33 @@ def test_bare_return_before_assignment():
     assert isinstance(stmts[1], N.AssignStmt)
 
 
+def test_strings_with_a_keywords_or_punctuators_text_stay_string_literals():
+    # statements branch on the current token's text: the kind must still
+    # tell a keyword or punctuator from a string that reads the same
+    mod = parse_source(
+        "module m\n"
+        "function f = |x| {\n"
+        '  "let"\n  "return"\n  "if"\n  "while"\n  "{"\n  "}"\n'
+        '  if x { "else" }\n'
+        '  g("(", ")", ",", "|")\n'
+        '  let y = "="\n'
+        '  return "contexts"\n'
+        "}\n"
+    )
+
+    def s(text):
+        return N.StringLit(text, SP)
+
+    assert mod.decls[0].fn.body.stmts == (
+        *(N.ExprStmt(s(text), SP) for text in ("let", "return", "if", "while", "{", "}")),
+        N.IfStmt(N.Ident("x", SP), N.Block((N.ExprStmt(s("else"), SP),), SP), None, SP),
+        N.ExprStmt(N.Call("g", tuple(s(text) for text in ("(", ")", ",", "|")), SP), SP),
+        N.LetStmt("y", s("="), SP),
+        N.ReturnStmt(s("contexts"), SP),
+    )
+    assert parse_source(format_module(mod), "<printed>") == mod
+
+
 def test_line_starting_operator_begins_a_new_statement():
     lam = parse_fn("|a, b| {\n  a\n  - b\n}")
     stmts = lam.body.stmts
