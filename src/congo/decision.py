@@ -9,7 +9,8 @@ step, :func:`decide_or_fail`, so a reply is either a
 first) or a :class:`DecisionFailure`, whichever way it travelled.
 :func:`validate_response` turns either into the variants to run or the
 error to raise.  Requests and replies are named tuples, recognised by
-type: a plain tuple with equal fields is not a reply.
+type: a plain tuple with equal fields is not a reply.  On the call path
+they are built with ``tuple.__new__``, which costs no Python-level call.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ _NO_METAS: frozenset = frozenset()
 _MEMO_CAP = 1024  # the most chains one DefaultDecisionMaker keeps
 _SEEN_CAP = 1024  # the most requests one CountingDecisionMaker lists in ``seen``
 _VARIANT_ID = itertools.repeat(VariantId)  # isinstance's second argument, for map()
+_new = tuple.__new__  # builds a request or a reply with no Python-level call
 
 
 class DefaultDecisionMaker(DecisionMaker):
@@ -139,7 +141,7 @@ class DefaultDecisionMaker(DecisionMaker):
             if len(memo) >= _MEMO_CAP:
                 memo = self._memo = {}
             entry = memo[key] = (snapshot, variants, chain)
-        return DecisionResponse(request.request_id, entry[2], request.snapshot_epoch)
+        return _new(DecisionResponse, (request.request_id, entry[2], request.snapshot_epoch))
 
     def _chain(self, request: InvocationRequest) -> Tuple[VariantId, ...]:
         snapshot = request.meta_snapshot
@@ -239,9 +241,13 @@ def validate_response(
     """The variants ``reply`` names, outermost first, or the error it means.
 
     The one place a reply is checked: anything but a legal chain of ``data``'s
-    table raises.  A legal chain is stored in ``data.chains`` and found there
-    afterwards, but only once its type passed: a plain tuple equals a
-    :class:`VariantId` with the same fields.
+    table raises.  Past the reply's type and request id, a chain that *is*
+    the tuple in ``data.last``, the one passed last, returns its variants:
+    that tuple cannot change, and the slot keeps it alive.  Any other chain,
+    even an equal one, is checked in full.  A legal chain is stored in
+    ``data.chains`` and found there afterwards, but only once its type
+    passed: a plain tuple equals a :class:`VariantId` with the same fields,
+    and a list cannot be hashed.
     """
     if not isinstance(reply, DecisionResponse):
         if isinstance(reply, DecisionFailure):
@@ -256,6 +262,9 @@ def validate_response(
             span,
         )
     chain = reply.chain
+    seen, variants = data.last  # one read: other threads replace it whole
+    if chain is seen:
+        return variants
     if type(chain) is not tuple or not all(map(isinstance, chain, _VARIANT_ID)):
         raise DecisionFailedError(
             f"decision chain must be a tuple of variant ids, got {chain!r}", span
@@ -263,20 +272,20 @@ def validate_response(
     if not chain:
         raise DecisionFailedError("decision maker returned an empty chain", span)
     variants = data.chains.get(chain)
-    if variants is not None:
-        return variants
-    variants = tuple(map(data.by_id.get, chain))
-    last = len(chain) - 1
-    for i, variant in enumerate(variants):
-        if variant is None:
-            raise DecisionFailedError(
-                f"decision chain names unknown variant {chain[i]!r}", span
-            )
-        if not variant.constraints and i != last:  # () marks the base
-            raise DecisionFailedError(
-                "the base variant may only appear as the last chain element", span
-            )
-    data.chains[chain] = variants
+    if variants is None:
+        variants = tuple(map(data.by_id.get, chain))
+        last = len(chain) - 1
+        for i, variant in enumerate(variants):
+            if variant is None:
+                raise DecisionFailedError(
+                    f"decision chain names unknown variant {chain[i]!r}", span
+                )
+            if not variant.constraints and i != last:  # () marks the base
+                raise DecisionFailedError(
+                    "the base variant may only appear as the last chain element", span
+                )
+        data.chains[chain] = variants
+    data.last = (chain, variants)
     return variants
 
 

@@ -84,6 +84,8 @@ from .errors import (
 )
 from .lowering import LoweredModule, Variant, VariantTable, add_variant
 
+_new = tuple.__new__  # builds an InvocationRequest with no Python-level call
+
 
 class DispatchMode(Enum):
     EVENT = "event"
@@ -255,6 +257,7 @@ class Runtime:
                 f"decision_timeout must be in [0, TIMEOUT_MAX], got {config.decision_timeout!r}"
             )
         self._guard = config.cache_policy is CachePolicy.EPOCH_GUARD
+        self._event = config.dispatch_mode is DispatchMode.EVENT
         self._println = config.println or (lambda text: print(text))
         self._started = False
         self.store: Optional[ConcreteValueStore] = None
@@ -278,7 +281,7 @@ class Runtime:
                 dm = create_decision_maker(config.decision_maker)
             dm.init({"store": self.store, "module": self._lowered.name})
             self.global_dm = dm
-            if config.dispatch_mode is DispatchMode.EVENT:
+            if self._event:
                 attach_decision_maker(self.bus, dm)
         except BaseException:
             self.bus.shutdown()
@@ -390,7 +393,7 @@ class Runtime:
     ) -> Value:
         """Decide, check and run the chain of a call to a layered table that
         the epoch guard did not answer; under the guard, remember it."""
-        data = table.dispatch_data()
+        data = table.dispatch or table.dispatch_data()
         if data.missing_base is not None:
             raise MissingBaseError(
                 f"method '{table.function_name}' has a before/after layer "
@@ -407,8 +410,8 @@ class Runtime:
         try:
             snapshot, epoch = self.context_manager.snapshot_meta(only)
             request_id = next(self._request_ids)
-            event = self._config.dispatch_mode is DispatchMode.EVENT
-            request = InvocationRequest(
+            event = self._event
+            request = _new(InvocationRequest, (
                 request_id,
                 self._lowered.name,
                 table.function_name,
@@ -419,7 +422,7 @@ class Runtime:
                 epoch,
                 reply_topic_for(request_id) if event else None,
                 dm,
-            )
+            ))
             if event:
                 reply = self.bus.request_reply(
                     self._request_topic,

@@ -76,7 +76,11 @@ class Variant:
         return self.variant_id.mangled_name
 
 
-class DispatchData(NamedTuple):
+_NO_CHAIN = (object(), ())  # no reply's chain is this object
+
+
+@dataclass(eq=False, slots=True)
+class DispatchData:
     """What every contextual call of one table needs from it."""
 
     arity: int
@@ -86,6 +90,9 @@ class DispatchData(NamedTuple):
     missing_base: Optional[Variant]
     # chains that passed validate_response -> the variants they name
     chains: Dict[Tuple[VariantId, ...], Tuple[Variant, ...]]
+    # (the chain validate_response passed last, its variants); runtimes on
+    # other threads share it, so it is read once and replaced whole
+    last: Tuple = _NO_CHAIN
 
 
 @dataclass

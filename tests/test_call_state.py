@@ -305,12 +305,18 @@ def python_calls(runtime, name, args):
 
 
 # The counts measured once proceed's state moved into the call's frame and a
-# cached call was taken where it is made.  A change that puts a Python frame
-# back on the call path fails here: each frame costs every tick, and depth.
+# cached call was taken where it is made, and once a decided call lost three
+# frames: dispatch_data (the table's data is read in place) and the named-tuple
+# __new__ of the request and of a memoised reply (both built by tuple.__new__).
+# A decided call is call, _dispatch, snapshot_meta, decide_or_fail, decide,
+# validate_response, _invoke and the body; a layer adds proceed and _invoke.
+# A change that puts a Python frame back on the call path fails here: each
+# frame costs every tick, and depth.
 @pytest.mark.parametrize("program,policy,most", [
     ("plain_single", CachePolicy.NONE, 3),
     ("contextual_single", CachePolicy.EPOCH_GUARD, 4),
-    ("contextual_single", CachePolicy.NONE, 12),
+    ("contextual_single", CachePolicy.NONE, 8),
+    ("contextual_layered10", CachePolicy.NONE, 28),
 ])
 def test_python_calls_per_host_call_stay_within_the_measured_count(
         bench_stack, program, policy, most):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+import sys
 import threading
 
 import pytest
@@ -37,8 +39,11 @@ from congo.errors import (
     StackOverflowError,
     UnknownDecisionMakerError,
 )
+from congo.interpreter import CachePolicy, DispatchMode, RunConfig, Runtime
 from congo.lowering import VariantId, compile_source, mangle
 from congo.nodes import LayerMode
+
+from helpers import run_program
 
 
 def base_spec(name="f"):
@@ -597,6 +602,240 @@ def test_dispatch_values_are_immutable(value, field):
     # the default maker's memo relies on a sent request not changing
     with pytest.raises(AttributeError):
         setattr(value, field, None)
+
+
+# --- the slot of the chain last validated ------------------------------------------
+
+
+SLOT_SOURCE = (
+    "module m\n"
+    "contexts = [Weather()]\n"
+    "function f = |x| -> x * 3 + 1\n"
+    "function f = |x| @(Weather=RAINY) -> proceed(x + 10) * 2\n"
+    "function f = |x| @(Weather=CLEAR) -> proceed(x - 5) + 7\n"
+)
+RAINY = (("Weather", "rainfall_mm", 9.0),)
+
+
+def inline_f(x, layer):
+    """``f`` of SLOT_SOURCE composed by hand: ``layer`` (or none), then the base."""
+    if layer == "RAINY":
+        return ((x + 10) * 3 + 1) * 2
+    if layer == "CLEAR":
+        return ((x - 5) * 3 + 1) + 7
+    return x * 3 + 1
+
+
+class _FreshChains(DecisionMaker):
+    """The default policy, but each reply carries a new tuple equal to its chain."""
+
+    def __init__(self):
+        self.inner = DefaultDecisionMaker()
+        self.last_chain = None
+
+    def decide(self, request):
+        reply = self.inner.decide(request)
+        self.last_chain = tuple(list(reply.chain))
+        return reply._replace(chain=self.last_chain)
+
+
+@pytest.mark.parametrize("mode", list(DispatchMode), ids=lambda m: m.value)
+def test_a_fresh_equal_chain_on_every_call_gets_the_right_variants(mode):
+    lowered = compile_source(SLOT_SOURCE)
+    dm = _FreshChains()
+    config = RunConfig(dispatch_mode=mode, decision_maker=dm, initial_values=RAINY)
+    with Runtime(lowered, config) as runtime:
+        for x in range(1000):
+            assert runtime.call("f", (x,)) == inline_f(x, "RAINY"), f"call {x}"
+    data = lowered.tables["f"].dispatch
+    assert list(data.chains) == [dm.last_chain]  # one entry, found by equality
+    assert data.last[0] is dm.last_chain
+
+
+def test_a_warm_slot_admits_no_chain_that_is_not_its_own_tuple():
+    request, response, data = valid_case()
+    variants = validate_response(request, response, None, data)
+    assert data.last[0] is response.chain and data.last[1] is variants
+    layer, base = response.chain
+    for chain, message in [
+        # equal to the slot's chain, and hashed like it
+        (tuple(tuple(v) for v in response.chain), "tuple of variant ids"),
+        (list(response.chain), "tuple of variant ids"),
+        ((layer, VariantId("stranger", 9)), "unknown variant"),
+        ((base, layer), "last chain element"),
+    ]:
+        with pytest.raises(DecisionFailedError, match=message):
+            validate_response(
+                request, DecisionResponse(request.request_id, chain, 0), None, data
+            )
+        assert data.last[0] is response.chain  # a refused chain is not kept
+        assert validate_response(request, response, None, data) is variants
+    with pytest.raises(DecisionFailedError, match="does not match"):
+        validate_response(
+            request, DecisionResponse(request.request_id + 1, response.chain, 0), None, data
+        )
+    assert data.chains == {response.chain: variants}
+
+
+DEFINED = (
+    "module m\n"
+    "contexts = [Weather()]\n"
+    "function main = |x| {\n"
+    "  let o = DynamicObject()\n"
+    "  o: define(\"g\", |this, x| -> x * 3 + 1)\n"
+    "  o: define(\"g\", |this, x| @(Weather=CLEAR) -> proceed(x - 5) + 7)\n"
+    "  println(o: g(x))\n"
+    "  o: define(\"g\", |this, x| @(Weather=RAINY) -> proceed(x + 10) * 2)\n"
+    "  println(o: g(x))\n"
+    "  setConcrete(\"Weather\", \"rainfall_mm\", 0.0)\n"
+    "  println(o: g(x))\n"
+    "}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "mode,policy",
+    [(mode, policy) for mode in DispatchMode for policy in CachePolicy],
+    ids=lambda v: v.value,
+)
+def test_a_define_after_a_decided_call_runs_the_new_chain(mode, policy):
+    _, output = run_program(
+        DEFINED, args=(4,), mode=mode, policy=policy, initial=RAINY
+    )
+    assert output == [str(inline_f(4, None)), str(inline_f(4, "RAINY")),
+                      str(inline_f(4, "CLEAR"))]
+
+
+class _Recording(DecisionMaker):
+    def __init__(self):
+        self.inner = DefaultDecisionMaker()
+        self.seen = []
+
+    def decide(self, request):
+        reply = self.inner.decide(request)
+        self.seen.append((request, reply))
+        return reply
+
+
+@pytest.mark.parametrize("mode", list(DispatchMode), ids=lambda m: m.value)
+def test_requests_and_replies_are_their_named_tuples_field_by_field(mode):
+    lowered = compile_source(SLOT_SOURCE)
+    dm = _Recording()
+    config = RunConfig(dispatch_mode=mode, decision_maker=dm, initial_values=RAINY)
+    with Runtime(lowered, config) as runtime:
+        epoch = runtime.store.epoch
+        runtime.call("f", (1,))
+        runtime.call("f", (2,))  # the maker's memo answers this one
+    specs = lowered.tables["f"].dispatch.specs
+    chain = (VariantId(mangle("f", [("Weather", "RAINY")]), 1), VariantId("f", 0))
+    assert len(dm.seen) == 2
+    for request_id, (request, reply) in enumerate(dm.seen, 1):
+        assert type(request) is InvocationRequest and type(reply) is DecisionResponse
+        assert request == InvocationRequest(
+            request_id=request_id,
+            module="m",
+            function_name="f",
+            arity=1,
+            variants=specs,
+            receiver_id=None,
+            meta_snapshot={"Weather": frozenset({"RAINY"})},
+            snapshot_epoch=epoch,
+            reply_topic=reply_topic_for(request_id) if mode is DispatchMode.EVENT else None,
+            decision_maker=dm,
+        )
+        assert request.variants is specs and request.decision_maker is dm
+        assert reply == DecisionResponse(request_id=request_id, chain=chain, epoch=epoch)
+    assert dm.seen[1][1].chain is dm.seen[0][1].chain
+
+
+class _Turns:
+    """Two threads that take turns within one function (``code``).
+
+    Before a line of ``code``, a thread hands the turn to the other at a
+    seeded coin flip and waits for it back, while the other runs up to a
+    line of ``code`` where it hands the turn back.  So the lines of the two
+    threads interleave in ever new ways, and a slot read twice, or written
+    in two steps, is seen half-changed.  A thread that is done takes no
+    more turns."""
+
+    def __init__(self, code):
+        self.code = code
+        self.turn = 0
+        self.done = [False, False]
+        self.cond = threading.Condition()
+
+    def tracer(self, k):
+        coin = random.Random(k).random
+
+        def line(frame, event, arg):
+            if event == "line" and coin() < 0.5:
+                self.pass_turn(k)
+            return line
+
+        return lambda frame, event, arg: line if frame.f_code is self.code else None
+
+    def pass_turn(self, k):
+        with self.cond:
+            self.turn = 1 - k
+            self.cond.notify_all()
+            self.cond.wait_for(lambda: self.turn == k or self.done[1 - k], timeout=5)
+
+    def finish(self, k):
+        with self.cond:
+            self.done[k] = True
+            self.cond.notify_all()
+
+
+class _Interning(DecisionMaker):
+    """The default policy, replying with one tuple object per chain value
+    whichever runtime asks, so either runtime can find its chain in the slot
+    the other one filled."""
+
+    def __init__(self):
+        self.inner = DefaultDecisionMaker()
+        self.chains = {}
+
+    def decide(self, request):
+        reply = self.inner.decide(request)
+        return reply._replace(chain=self.chains.setdefault(reply.chain, reply.chain))
+
+
+def test_runtimes_sharing_a_table_on_two_threads_each_run_their_own_chain():
+    lowered = compile_source(SLOT_SOURCE)  # one table, so one slot, for both
+    config = RunConfig(dispatch_mode=DispatchMode.DIRECT, decision_maker=_Interning())
+    runtimes = [Runtime(lowered, config).start() for _ in range(2)]
+    rainy_on = [lambda i: i % 2 == 0, lambda i: i % 3 != 1]  # each its own meta
+    steps = _Turns(validate_response.__code__)
+    calls, wrong = [0, 0], [[], []]
+
+    def drive(k):
+        runtime, rainy = runtimes[k], rainy_on[k]
+        sys.settrace(steps.tracer(k))
+        try:
+            for i in range(2000):
+                layer = "RAINY" if rainy(i) else "CLEAR"
+                runtime.store.set("Weather", "rainfall_mm", 9.0 if rainy(i) else 0.0)
+                result = runtime.call("f", (i,))
+                if result != inline_f(i, layer):
+                    wrong[k].append((i, layer, result))
+                calls[k] += 1
+        finally:
+            sys.settrace(None)
+            steps.finish(k)
+
+    threads = [threading.Thread(target=drive, args=(k,)) for k in range(2)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        for runtime in runtimes:
+            runtime.shutdown()
+    assert calls == [2000, 2000]
+    assert wrong == [[], []]
+    assert len(lowered.tables["f"].dispatch.chains) == 2
 
 
 # --- registry -------------------------------------------------------------------------
