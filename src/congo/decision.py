@@ -44,9 +44,7 @@ _REPLY_PREFIX = Topic(("congo", "decision", "reply")).segments
 
 def reply_topic_for(request_id: int) -> Topic:
     # skips Topic's checks: the prefix passed them above, and "%d" is legal
-    topic = object.__new__(Topic)
-    object.__setattr__(topic, "segments", (*_REPLY_PREFIX, "%d" % request_id))
-    return topic
+    return _new(Topic, ((*_REPLY_PREFIX, "%d" % request_id),))
 
 
 def context_changed_topic(context: str) -> Topic:

@@ -84,7 +84,7 @@ from .errors import (
 )
 from .lowering import LoweredModule, Variant, VariantTable, add_variant
 
-_new = tuple.__new__  # builds an InvocationRequest with no Python-level call
+_new = tuple.__new__  # builds a request or a ContextChanged with no Python-level call
 
 
 class DispatchMode(Enum):
@@ -520,7 +520,7 @@ class Runtime:
                 ) from None
             self._changed_topics[context] = topic
         epoch = self.store.set(context, key, value)
-        self.bus.publish(topic, ContextChanged(context, key, value, epoch))
+        self.bus.publish(topic, _new(ContextChanged, (context, key, value, epoch)))
         return None
 
     def _builtin_current_meta(self, args: Tuple, span) -> Value:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 import threading
 import time
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from congo import bus as bus_module
 from congo.bus import MessageBus, Topic
+from congo.decision import reply_topic_for
 from congo.errors import BusClosedError, DecisionTimeoutError, ReentrantDispatchError
 from congo.interpreter import RunConfig, Runtime
 from congo.lowering import compile_source
@@ -85,6 +87,29 @@ def test_matching_against_brute_force_oracle(pattern_head, wildcard, topic_segme
     else:
         expected = list(topic.segments) == pattern_head
     assert pattern.matches(topic) is expected
+
+
+@pytest.mark.parametrize("make,text", [
+    (lambda: Topic.parse("congo/decision/request/*"), "congo/decision/request/*"),
+    (lambda: reply_topic_for(17), "congo/decision/reply/17"),
+])
+def test_a_topic_round_trips_through_pickle_and_hashes_like_its_parsed_equal(make, text):
+    topic, parsed = make(), Topic.parse(text)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(topic, protocol))
+        assert type(copy) is Topic
+        assert copy == topic == parsed
+        assert hash(copy) == hash(topic) == hash(parsed)
+        assert str(copy) == text
+    # a Topic is a one-field named tuple: it equals the one-tuple of its segments
+    assert topic == (tuple(text.split("/")),)
+
+
+def test_unpickling_runs_the_topic_checks():
+    # the bytes of a topic whose segment holds a '/', which Topic refuses
+    forged = pickle.dumps(Topic(("a", "b"))).replace(b"\x8c\x01b", b"\x8c\x03b/c")
+    with pytest.raises(ValueError):
+        pickle.loads(forged)
 
 
 # --- delivery ---------------------------------------------------------------------
@@ -189,6 +214,72 @@ def test_unsubscribe_is_a_delivery_barrier(bus):
         bus.publish(Topic.parse("t/u"), i)
     drain(bus)
     assert len(got) == count_at_unsubscribe == 100
+
+
+@pytest.mark.parametrize("pattern", ["t/cached", "t/*"])
+def test_a_subscription_made_after_a_publish_gets_the_next_one(bus, pattern):
+    got = []
+    bus.publish(Topic.parse("t/cached"), "unheard")  # its subscriber list is kept
+    bus.subscribe(Topic.parse(pattern), lambda m: got.append(m.payload))
+    bus.publish(Topic.parse("t/cached"), "heard")
+    drain(bus)
+    assert got == ["heard"]
+
+
+def test_a_topic_published_before_an_unsubscribe_queues_nothing_after_it(bus):
+    # no drain() here: its own subscribe would empty the subscriber lists
+    entered, go, heard = threading.Event(), threading.Event(), threading.Event()
+    bus.subscribe(Topic.parse("t/hold"), lambda m: (entered.set(), go.wait(5.0)))
+    got = []
+    sub = bus.subscribe(Topic.parse("t/gone"), lambda m: (got.append(m.payload), heard.set()))
+    bus.publish(Topic.parse("t/gone"), 1)
+    assert heard.wait(5.0)
+    bus.unsubscribe(sub)
+    bus.publish(Topic.parse("t/hold"), None)
+    assert entered.wait(5.0)  # the dispatcher is busy and will not drain
+    bus.publish(Topic.parse("t/gone"), 2)
+    assert bus._queue == []  # nobody hears it now, so it is not queued
+    go.set()
+    drain(bus)
+    assert got == [1]
+
+
+def test_a_claimed_reply_reaches_subscribers_of_its_topic_and_the_trace():
+    lines, seen = [], []
+    with MessageBus(trace=lines.append) as bus:
+        bus.subscribe(
+            Topic.parse("t/ask"), lambda m: bus.publish(Topic.parse("t/reply/same"), m.payload)
+        )
+        bus.subscribe(Topic.parse("t/reply/same"), lambda m: seen.append(m.payload))
+        for i in range(3):  # one reply topic, claimed three times
+            assert bus.request_reply(
+                Topic.parse("t/ask"), i, Topic.parse("t/reply/same")
+            ) == i
+        assert Topic.parse("t/reply/same") not in bus._routes
+        drain(bus)
+    assert seen == [0, 1, 2]
+    assert sum(line.endswith(" t/reply/same int") for line in lines) == 3
+
+
+def test_the_subscriber_lists_stay_within_their_cap_and_no_reply_stays_pending(bus):
+    bus.subscribe(
+        Topic.parse("t/echo"),
+        lambda m: bus.publish(Topic.parse(f"t/reply/{m.payload}"), m.payload),
+    )
+    for i in range(10_000):
+        assert bus.request_reply(Topic.parse("t/echo"), i, Topic.parse(f"t/reply/{i}")) == i
+    assert list(bus._routes) == [Topic.parse("t/echo")]  # no reply topic
+    drain(bus)
+    assert bus._pending == {}
+    for i in range(bus_module._ROUTES_CAP + 10):
+        bus.publish(Topic(("t", "many", str(i))), i)
+    assert 0 < len(bus._routes) <= bus_module._ROUTES_CAP
+    got = []
+    bus.subscribe(Topic.parse("t/many/*"), lambda m: got.append(m.payload))
+    bus.publish(Topic.parse("t/many/0"), "again")
+    drain(bus)
+    assert got == ["again"]
+    assert bus._pending == {}
 
 
 def test_handler_may_unsubscribe_itself(bus):
@@ -482,6 +573,25 @@ def test_request_reply_on_a_closed_bus_leaves_no_pending_entry():
     with pytest.raises(BusClosedError):
         bus.request_reply(Topic.parse("t/req"), None, Topic.parse("t/reply/x"))
     assert bus._pending == {}
+
+
+def test_a_thread_given_the_ident_of_a_stopped_dispatcher_is_refused_as_closed():
+    bus = MessageBus()
+    bus.shutdown()
+    outcomes = []
+
+    def probe():
+        try:
+            bus.request_reply(Topic.parse("t/req"), None, Topic.parse("t/reply/x"))
+        except Exception as exc:
+            outcomes.append(type(exc))
+
+    for _ in range(20):  # a new thread often gets the dispatcher's old ident
+        thread = threading.Thread(target=probe)
+        thread.start()
+        thread.join(5.0)
+        assert not thread.is_alive()
+    assert outcomes == [BusClosedError] * 20
 
 
 def test_shutdown_is_idempotent():

@@ -9,10 +9,12 @@ policies.
 from __future__ import annotations
 
 import sys
+import threading
 
 import pytest
 
 from congo.bench import compile_benchmark, ensure_bench_context
+from congo.bus import Topic
 from congo.decision import CountingDecisionMaker, DefaultDecisionMaker
 from congo.errors import CallArityError, DivisionByZeroError, ProceedExhaustedError
 from congo.interpreter import CachePolicy, DispatchMode, RunConfig, Runtime
@@ -325,3 +327,59 @@ def test_python_calls_per_host_call_stay_within_the_measured_count(
         for x in range(3):  # compile the body, fill the memo and the site
             runtime.call("work", (x,))
         assert python_calls(runtime, "work", (5,)) <= most
+
+
+def python_calls_on_both_threads(runtime, name, args):
+    """The Python calls one event-mode ``runtime.call`` makes on the calling
+    thread and on the bus dispatcher, where a handler turns the count on and
+    off.  One call runs first, so the bus holds the subscriber list that the
+    handler's subscription emptied."""
+    bus, counts = runtime.bus, {}
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is not switch.__code__:
+            ident = threading.get_ident()
+            counts[ident] = counts.get(ident, 0) + 1
+
+    switched = threading.Lock()  # not an Event: Event.set makes Python calls
+    switched.acquire()
+
+    def switch(message):
+        sys.setprofile(message.payload)
+        switched.release()
+
+    topic = Topic(("test", "profile"))
+    subscription = bus.subscribe(topic, switch)
+    try:
+        runtime.call(name, args)
+        bus.publish(topic, count)
+        assert switched.acquire(timeout=5.0)
+        sys.setprofile(count)
+        try:
+            runtime.call(name, args)
+        finally:
+            sys.setprofile(None)
+            # queued after every message of the call, so delivered after them
+            bus.publish(topic, None)
+            assert switched.acquire(timeout=5.0)
+    finally:
+        bus.unsubscribe(subscription)
+    assert len(counts) == 2  # both threads ran Python code
+    return sum(counts.values())
+
+
+# The count measured once a bus round trip lost its Python-level plumbing:
+# Topic's __hash__, the Message constructor, current_thread, the subscriber
+# scan of a topic published before and the dispatcher's _deliver.  On the
+# caller, a decided call is call, _dispatch, snapshot_meta, reply_topic_for,
+# request_reply, _PendingReply's __init__, _post, validate_response, _invoke
+# and the body; on the dispatcher, the maker's handler, decide_or_fail,
+# decide, publish, _post, and the scan of the reply's topic, which is used
+# once: a list comprehension and one matches per subscription (the maker's
+# and the switch's).
+def test_python_calls_of_an_event_mode_decision_stay_within_the_measured_count(bench_stack):
+    config = RunConfig(dispatch_mode=DispatchMode.EVENT, cache_policy=CachePolicy.NONE)
+    with Runtime(compile_benchmark("contextual_single"), config) as runtime:
+        for x in range(3):  # compile the body, fill the memo and the topic cache
+            runtime.call("work", (x,))
+        assert python_calls_on_both_threads(runtime, "work", (5,)) <= 18

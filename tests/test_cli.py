@@ -285,6 +285,22 @@ def test_trace_bus_goes_to_stderr(tmp_path, capsys):
     assert any("DecisionResponse" in l for l in trace_lines)
 
 
+def test_trace_bus_lines_of_the_weather_demo_are_pinned(capsys):
+    # one decision per report(), one ContextChanged per setConcrete, in order
+    assert main(["run", str(DEMOS / "weather.congo"), "--trace-bus"]) == 0
+    trace_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("SEQ ")]
+    assert trace_lines == [
+        "SEQ 1 congo/decision/request/demo/weather InvocationRequest",
+        "SEQ 2 congo/decision/reply/1 DecisionResponse",
+        "SEQ 3 congo/context/changed/Weather ContextChanged",
+        "SEQ 4 congo/decision/request/demo/weather InvocationRequest",
+        "SEQ 5 congo/decision/reply/2 DecisionResponse",
+        "SEQ 6 congo/context/changed/Battery ContextChanged",
+        "SEQ 7 congo/decision/request/demo/weather InvocationRequest",
+        "SEQ 8 congo/decision/reply/3 DecisionResponse",
+    ]
+
+
 def test_emit_ir_skips_execution(tmp_path, capsys):
     path = write(tmp_path, "p.congo", LAYERED)
     assert main(["run", path, "--emit-ir"]) == 0
