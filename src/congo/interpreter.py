@@ -1,18 +1,21 @@
-"""Closure-compiled runtime: values, dynamic objects, and contextual dispatch.
+"""Runtime and code generator: values, dynamic objects, and contextual dispatch.
 
-Each lambda body is compiled once, on the lambda's first call, into nested
-Python closures of the form ``fn(interp, frame)`` (Feeley & Lapalme, *Using
-Closures for Code Generation*, Computer Languages 12(1), 1987) and cached on
-the :class:`~congo.nodes.Lambda` node.  The compiler resolves every name
-to frame slots (lexical addressing, Abelson & Sussman, *SICP* §5.5.6): a
-call runs on a plain list ``[parent frame, chain, arguments, receiver,
-parameters..., lets...]``, and only a block that declares a ``let`` gets a
-frame of its own.  The three call-state slots are what ``proceed()`` reads:
-the rest of the variant chain (None for a local lambda), the arguments a
-bare ``proceed()`` re-sends, and the receiver.  A few common shapes are
-superinstructions (Proebsting, *Optimizing an ANSI C Interpreter with
-Superoperators*, POPL 1995): one closure reads an int literal or a
-parameter operand inline instead of calling a closure for it.
+Each lambda body is compiled once, on the lambda's first call, and cached
+on the :class:`~congo.nodes.Lambda` node: the generator writes it as the
+Python source of one function, with every expression flattened into
+local temporaries, and compiles that source with ``compile()`` (dynamic
+translation, Deutsch & Schiffman, *Efficient Implementation of the
+Smalltalk-80 System*, POPL 1984).  No ConGo text enters the source: every
+literal, name, span and node is a constant the function reads from its
+closure, so bodies of one shape share one source, and a module-level cache
+keyed by that source lets them share one ``compile()`` and one code object.
+The cache is emptied when it holds ``_MAX_CODES`` sources.  The generator
+resolves every name to frame slots (lexical addressing, Abelson & Sussman,
+*SICP* §5.5.6): a call runs on a plain list ``[parent frame, chain,
+arguments, receiver, parameters..., lets...]``, and only a block that
+declares a ``let`` gets a frame of its own.  The three call-state slots are
+what ``proceed()`` reads: the rest of the variant chain (None for a local
+lambda), the arguments a bare ``proceed()`` re-sends, and the receiver.
 
 A contextual call never selects its own variant chain.  The site
 snapshots the meta context once, builds an :class:`InvocationRequest`,
@@ -22,10 +25,9 @@ dispatch, the default) or by calling it directly (direct dispatch).
 The two transports differ in nothing else: every reply is checked and
 turned into an error in one place, and the returned chain executes
 outermost-first with ``proceed()`` stepping inward.  Under the epoch guard
-each call site keeps the chain it last ran, and the call closure itself
+each call site keeps the chain it last ran, and the site's generated code
 runs it again while the store epoch and the receiver are unchanged: a
-per-site inline cache (Deutsch & Schiffman, *Efficient Implementation of
-the Smalltalk-80 System*, POPL 1984).
+per-site inline cache (Deutsch & Schiffman, as above).
 
 No call pushes anything for error reporting.  A ConGo error collects the
 ``(name, call span)`` of each call it unwinds, and :meth:`Runtime.call`
@@ -232,10 +234,6 @@ def _apply_binary(op: str, left: Value, right: Value, span) -> Value:
             raise CongoTypeError(f"'{op}' needs two numbers or two strings", span)
         return _ORDERINGS[op](left, right)
     raise CongoRuntimeError(f"unknown operator '{op}'", span)
-
-
-def _not_bool(what: str, value: Value, span) -> CongoTypeError:
-    return CongoTypeError(f"{what} must be a boolean, got {stringify(value, span)!r}", span)
 
 
 class Runtime:
@@ -557,40 +555,75 @@ class Runtime:
     }
 
 
-# --- closure compiler ------------------------------------------------------------
+# --- code generator --------------------------------------------------------------
 #
-# Every closure takes (interp, frame), interp being the started Runtime and
-# frame the innermost run-time frame, a list [parent frame, slots...].  It
-# captures only AST field values, slot addresses and other closures, never a
-# runtime, store, bus or frame: tables and lambdas are shared by every
-# runtime built from one LoweredModule.  An expression closure returns its
-# value.  A statement closure returns _NEXT to fall through to the next
-# statement, or the value of a ``return``.
+# A lambda body becomes the Python source of one factory,
+#
+#     def make(k0, k1, ...):
+#      def b0(interp, frame): ...     # the body
+#      def b1(interp, frame): ...     # an if, else or while block, ...
+#      return b0
+#
+# and the body is what make returns for the lambda's own constants.  Every
+# generated function takes (interp, frame), interp being the started Runtime
+# and frame the run-time frame of the scope it starts in, a list [parent
+# frame, slots...].  The code captures only the constants, never a runtime,
+# store, bus or frame: tables and lambdas are shared by every runtime built
+# from one LoweredModule.
+#
+# No ConGo text enters the source.  Every literal, name, span, site id and
+# AST node is a constant: an argument of make, read as a closure cell.  An
+# error is raised as _fault(node, ...), which writes its message from the
+# node that fails.  Every Python name in the source comes from one fixed
+# scheme: interp and frame, temporaries t0, t1..., block frames s0, s1...,
+# constants k0, k1..., functions b0, b1..., and the helpers in _GLOBALS; the
+# only numbers are slot indices and hop counts.  So a ConGo name cannot
+# clash with a generated one, and a body's source depends only on its shape:
+# bodies that differ only in literals, names or spans have one source.
+# _CODES maps each source to its factory, so they share one compile() and
+# one set of code objects; it is emptied when it holds _MAX_CODES sources.
+#
+# Expressions are flattened into temporaries in ConGo's evaluation order,
+# left to right.  Two ints take the Python operator inline (with a nonzero
+# divisor for '/' and '%'); every other operand, whatever its type, goes to
+# _apply_binary, which owns each type error, zero divisor and overflow and
+# its span.  An expression statement is a line; a ConGo return is a Python
+# return.  A bare block runs inline.  Each if, else and while block is a
+# function of its own, which returns _NEXT to fall through to the next
+# statement or the value of a ``return``, so nesting adds no indentation;
+# only the right operand of '&&' and '||' indents, and one that would start
+# _MAX_INDENT levels deep becomes a function too (CPython refuses 100 levels).
 #
 # A call's frame holds three slots of call state, then the parameters and the
 # lets of the body's top block: [parent, chain, arguments, receiver, ...].
 # proceed() walks from its own frame up to its call's, a depth known at
-# compile time, reads the call state there and evaluates its arguments in
-# its own frame.  Any other block that declares a let gets a fresh frame
+# generation time, reads the call state there and evaluates its arguments
+# in its own frame.  Any other block that declares a let gets a fresh frame
 # each time it runs, so the closures of a loop iteration capture that
 # iteration.  A let slot holds _UNBOUND until its let runs.  A name resolves
 # to the slot of every enclosing frame that declares it, innermost first,
 # and the first bound one is the binding: a let shadows only once it has run.
 #
-# No frame records its caller for error reports.  An error collects its
-# ConGo call stack as it unwinds each _invoke, and Runtime.call reverses it.
-#
-# Fused shapes, each kept because it saves at least three Python calls per
-# tick of the perfbench program: ``e op 3`` and ``x op 3`` for the int
-# operators, and for '/' and '%' by a nonzero literal, where x is a parameter
-# of this frame and e any other expression; and a call's only argument
-# ``f(x)``.  A fused closure reads its literal or parameter inline.  Two ints
-# take the operator function directly; every other operand, whatever its
-# type, goes to _apply_binary, which owns each type error, zero divisor and
-# overflow and its span.
+# Each call site tests its guard hit itself, through interp._sites.get(site),
+# which is empty unless the epoch guard is on.  No frame records its caller
+# for error reports: an error collects its ConGo call stack as it unwinds
+# each _invoke, and Runtime.call reverses it.
 
 _NEXT = object()
 _UNBOUND = object()
+
+_MAX_CODES = 256  # the most generated sources _CODES keeps factories for
+_CODES: Dict[str, Callable] = {}
+_MAX_INDENT = 50  # the indentation at which a right operand is outlined
+
+# the Python operator two ints take; any other ConGo operator is _apply_binary's
+_PY_OPS = {
+    "+": "+", "-": "-", "*": "*", "/": "//", "%": "%",
+    "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+}
+# a literal of these types is never an int: its operator always goes to
+# _apply_binary
+_NOT_INT = (nodes.FloatLit, nodes.StringLit, nodes.BoolLit, nodes.NullLit)
 
 
 class _Scope:
@@ -607,19 +640,20 @@ class _Scope:
         self.params = first - 1 + len(params)  # slots up to here are bound on entry
         for name in lets:
             self.slots.setdefault(name, len(self.slots) + first)
-        self.padding = (_UNBOUND,) * (len(self.slots) - len(params))
+        self.padding = len(self.slots) - len(params)  # the let slots
 
-    def resolve(self, name: str) -> Tuple[Tuple[int, int], ...]:
-        """The (frame depth, slot index) of each slot that may bind ``name``."""
+    def resolve(self, name: str) -> Tuple[Tuple[Tuple[int, int], ...], bool]:
+        """The (frame depth, slot index) of each slot that may bind ``name``,
+        and whether the first one is a parameter, which is always bound."""
         found, scope, depth = [], self, 0
         while scope is not None:
             index = scope.slots.get(name)
             if index is not None:
                 found.append((depth, index))
                 if index <= scope.params:
-                    break  # a parameter is always bound
+                    return tuple(found), len(found) == 1
             scope, depth = scope.parent, depth + 1
-        return tuple(found)
+        return tuple(found), False
 
 
 def _lets(stmts: Sequence[nodes.Stmt]) -> List[str]:
@@ -629,6 +663,9 @@ def _lets(stmts: Sequence[nodes.Stmt]) -> List[str]:
     compiles the same under either."""
     names = [stmt.name for stmt in stmts if type(stmt) is nodes.LetStmt]
     return sorted(names, key=lambda name: name.startswith("$"))
+
+
+# --- helpers the generated code calls, on paths that are rare or fail --------------
 
 
 def _find(frame: list, found: Tuple[Tuple[int, int], ...]):
@@ -642,441 +679,463 @@ def _find(frame: list, found: Tuple[Tuple[int, int], ...]):
     return None
 
 
+def _lookup(frame: list, found: Tuple[Tuple[int, int], ...]) -> Value:
+    hit = _find(frame, found)
+    return _UNBOUND if hit is None else hit[0][hit[1]]
+
+
+def _up(frame: list, hops: int) -> list:
+    for _ in range(hops):
+        frame = frame[0]
+    return frame
+
+
+def _fault(node, value: Value = None, right: bool = False) -> CongoRuntimeError:
+    """The error generated code raises at ``node``, the node that fails:
+    ``value`` is the value it fails on, and ``right`` marks the right
+    operand of '&&' or '||'."""
+    kind, span = type(node), node.span
+    if kind is nodes.Ident:
+        return UnknownVariableError(f"unknown variable '{node.name}'", span)
+    if kind is nodes.AssignStmt:
+        return UnknownVariableError(f"assignment to undefined variable '{node.name}'", span)
+    if kind is nodes.Call:  # a bound local that is no function, or UNBOUND
+        if value is _UNBOUND:
+            return UnknownFunctionError(f"unknown function '{node.callee}'", span)
+        return CongoTypeError(f"'{node.callee}' is not callable", span)
+    if kind is nodes.MethodCall:  # the receiver
+        if not isinstance(value, DynObject):
+            return CongoTypeError(f"method call '{node.name}' on non-object value "
+                                  f"{stringify(value, span)!r}", span)
+        if node.args:
+            return UnknownMethodError(f"object has no method '{node.name}'", span)
+        return UnknownMethodError(f"object has no method or property '{node.name}'", span)
+    if kind is nodes.Proceed:  # the rest of the chain: None, or empty
+        if value is None:
+            return ProceedExhaustedError("proceed called outside a layered dispatch", span)
+        return ProceedExhaustedError("proceed called but the variant chain is exhausted", span)
+    if kind is nodes.UnaryOp and node.op == "-":
+        return CongoTypeError("unary '-' needs a number", span)
+    if kind is nodes.UnaryOp:
+        what = "operand of 'not'"
+    elif kind is nodes.BinaryOp:
+        what = f"{'right' if right else 'left'} operand of '{node.op}'"
+    else:
+        what = "if condition" if kind is nodes.IfStmt else "while condition"
+    return CongoTypeError(f"{what} must be a boolean, got {stringify(value, span)!r}", span)
+
+
+# the globals of every generated function, named by the generator's scheme
+_GLOBALS = {
+    "UNBOUND": _UNBOUND, "NEXT": _NEXT, "NUMBERS": (int, float),
+    "FunctionValue": FunctionValue, "DynObject": DynObject,
+    "apply_binary": _apply_binary, "fault": _fault,
+    "lookup": _lookup, "find": _find, "up": _up,
+}
+
+
 def _compile_lambda(lam: nodes.Lambda) -> Callable:
     """Compile ``lam``'s body; a body nested too deep is a StackOverflowError."""
     try:
-        return _compile_body(lam)
+        source, consts = _Generator().body(lam)
     except RecursionError as exc:
-        # The compiler recurses once per nesting level.  Unless it used most of
-        # the stack itself, the calls that led here did: _invoke reports those.
-        compiler_frames = sum(1 for _ in traceback.walk_tb(exc.__traceback__))
-        if compiler_frames < sys.getrecursionlimit() // 2:
+        # The generator recurses once per nesting level.  Unless it used most
+        # of the stack itself, the calls that led here did: _invoke reports those.
+        generator_frames = sum(1 for _ in traceback.walk_tb(exc.__traceback__))
+        if generator_frames < sys.getrecursionlimit() // 2:
             raise
-    raise StackOverflowError("block nesting too deep to compile", lam.span)
+        raise StackOverflowError("block nesting too deep to compile", lam.span) from None
+    make = _CODES.get(source)
+    if make is None:
+        namespace: dict = {}
+        exec(compile(source, "<congo>", "exec"), _GLOBALS, namespace)
+        make = namespace["make"]
+        if len(_CODES) >= _MAX_CODES:
+            _CODES.clear()
+        _CODES[source] = make
+    return make(*consts)
 
 
-def _compile_body(lam: nodes.Lambda) -> Callable:
-    """The closure that runs a lambda body in the call's frame."""
-    body = lam.body
-    if not isinstance(body, nodes.Block):
-        return _compile(body, _Scope(lam.outer, lam.params, (), call=True))
-    scope = _Scope(lam.outer, lam.params, _lets(body.stmts), call=True)
-    stmts = tuple(_compile(stmt, scope) for stmt in body.stmts)
-    padding = scope.padding
-
-    def run_body(interp, frame):
-        if padding:
-            frame += padding
-        for stmt in stmts:
-            result = stmt(interp, frame)
-            if result is not _NEXT:
-                return result
-        return None
-
-    return run_body
+def _names(prefix: str) -> Callable[[], str]:
+    """A function that returns prefix0, prefix1, ... one per call."""
+    return map((prefix + "{}").format, itertools.count()).__next__
 
 
-def _compile(node, scope: _Scope) -> Callable:
-    return _COMPILERS[type(node)](node, scope)
+class _Function:
+    """One generated function as it is written: its lines, and the frame of
+    each scope it has a name for, outermost first; the innermost scope is
+    ``scope``, and its frame is ``here``."""
+
+    __slots__ = ("lines", "pad", "temp", "frames", "scope", "here")
+
+    def __init__(self, name: str, scope: _Scope):
+        self.lines = [f" def {name}(interp, frame):"]
+        self.pad = "  "  # the indentation of the next line, one space a level
+        self.temp = _names("t")  # a new temporary's name
+        self.frames = [(scope, "frame")]
+        self.scope, self.here = scope, "frame"
 
 
-def _compile_constant(expr, scope: _Scope) -> Callable:
-    value = expr.value
-    return lambda interp, frame: value
+class _Generator:
+    """Writes one lambda body as the source of a factory and its constants."""
 
+    def __init__(self) -> None:
+        self.consts: list = []
+        self.done: List[str] = []  # the finished functions' source
+        self.function = _names("b")  # a new function's name
+        self.fn: Optional[_Function] = None
 
-def _compile_null(expr: nodes.NullLit, scope: _Scope) -> Callable:
-    return lambda interp, frame: None
-
-
-def _param_slot(expr, scope: _Scope) -> Optional[int]:
-    """The slot of ``expr`` if it names a parameter of the innermost frame."""
-    if type(expr) is nodes.Ident:
-        found = scope.resolve(expr.name)
-        if found and found[0][0] == 0 and found[0][1] <= scope.params:
-            return found[0][1]
-    return None
-
-
-def _compile_ident(expr: nodes.Ident, scope: _Scope) -> Callable:
-    name, span = expr.name, expr.span
-    index = _param_slot(expr, scope)
-    if index is not None:
-        return lambda interp, frame: frame[index]
-    found = scope.resolve(name)
-    if len(found) == 1 and found[0][0] <= 1:  # a slot of this frame or its parent
-        depth, index = found[0]
-
-        def slot(interp, frame):
-            value = (frame[0] if depth else frame)[index]
-            if value is _UNBOUND:
-                raise UnknownVariableError(f"unknown variable '{name}'", span)
-            return value
-
-        return slot
-
-    def ident(interp, frame):
-        hit = _find(frame, found)
-        if hit is None:
-            raise UnknownVariableError(f"unknown variable '{name}'", span)
-        return hit[0][hit[1]]
-
-    return ident
-
-
-def _compile_lambda_value(expr: nodes.Lambda, scope: _Scope) -> Callable:
-    expr.outer = scope
-    return lambda interp, frame: FunctionValue(expr, frame)
-
-
-# Two ints take these directly: Python's result is ConGo's.  Any other
-# operands, bools included, and '/' or '%' by zero get _apply_binary's checks.
-_INT_OPS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "==": operator.eq, "!=": operator.ne, **_ORDERINGS,
-}
-_INT_DIVISIONS = {"/": operator.floordiv, "%": operator.mod}
-
-
-def _compile_binary(expr: nodes.BinaryOp, scope: _Scope) -> Callable:
-    op, span = expr.op, expr.span
-    k = expr.right.value if type(expr.right) is nodes.IntLit else None
-    fast = _INT_OPS.get(op)
-    if k and fast is None:  # '/' or '%' by a nonzero literal never divides by zero
-        fast = _INT_DIVISIONS.get(op)
-    if k is not None and fast is not None:
-        i = _param_slot(expr.left, scope)
-        if i is not None:  # x op 3
-            def run(interp, frame):
-                a = frame[i]
-                if type(a) is int:
-                    return fast(a, k)
-                return _apply_binary(op, a, k, span)
-            return run
-        left = _compile(expr.left, scope)
-
-        def run(interp, frame):  # any expression op 3
-            a = left(interp, frame)
-            if type(a) is int:
-                return fast(a, k)
-            return _apply_binary(op, a, k, span)
-        return run
-    left, right = _compile(expr.left, scope), _compile(expr.right, scope)
-    if op == "&&" or op == "||":
-        settles = op == "||"  # the left value that is the result on its own
-
-        def run(interp, frame):
-            a = left(interp, frame)
-            if a is not True and a is not False:
-                raise _not_bool(f"left operand of '{op}'", a, span)
-            if a is settles:
-                return a
-            b = right(interp, frame)
-            if b is True or b is False:
-                return b
-            raise _not_bool(f"right operand of '{op}'", b, span)
-    elif fast is not None:
-        def run(interp, frame):
-            a, b = left(interp, frame), right(interp, frame)
-            if type(a) is int and type(b) is int:
-                return fast(a, b)
-            return _apply_binary(op, a, b, span)
-    elif op in _INT_DIVISIONS:
-        divide = _INT_DIVISIONS[op]
-
-        def run(interp, frame):
-            a, b = left(interp, frame), right(interp, frame)
-            if type(a) is int and type(b) is int and b:
-                return divide(a, b)
-            return _apply_binary(op, a, b, span)
-    else:
-        def run(interp, frame):
-            return _apply_binary(op, left(interp, frame), right(interp, frame), span)
-    return run
-
-
-def _compile_unary(expr: nodes.UnaryOp, scope: _Scope) -> Callable:
-    operand, span = _compile(expr.operand, scope), expr.span
-    if expr.op == "-":
-        def negate(interp, frame):
-            value = operand(interp, frame)
-            if is_number(value):
-                return -value
-            raise CongoTypeError("unary '-' needs a number", span)
-
-        return negate
-
-    def not_(interp, frame):
-        value = operand(interp, frame)
-        if value is True or value is False:
-            return not value
-        raise _not_bool("operand of 'not'", value, span)
-
-    return not_
-
-
-def _compile_args(exprs: Tuple[nodes.Expr, ...], scope: _Scope) -> Callable:
-    """A closure that evaluates the arguments left to right into a tuple."""
-    if len(exprs) == 1:
-        i = _param_slot(exprs[0], scope)
-        if i is not None:  # f(x)
-            return lambda interp, frame: (frame[i],)
-    fns = tuple(_compile(e, scope) for e in exprs)
-    if not fns:
-        return lambda interp, frame: ()
-    if len(fns) == 1:
-        (only,) = fns
-        return lambda interp, frame: (only(interp, frame),)
-    if len(fns) == 2:
-        first, second = fns
-        return lambda interp, frame: (first(interp, frame), second(interp, frame))
-    return lambda interp, frame: tuple([fn(interp, frame) for fn in fns])
-
-
-def _compile_call(expr: nodes.Call, scope: _Scope) -> Callable:
-    name, span, site = expr.callee, expr.span, expr.site_id
-    args = _compile_args(expr.args, scope)
-    found = scope.resolve(name)
-
-    # the module's function: its base if it has no layers, else the chain the
-    # guard remembers at this site, else a decision; then a builtin
-    def call(interp, frame):
-        table = interp._tables.get(name)
-        if table is not None:
-            values = args(interp, frame)
-            if not table.layers:
-                return interp._invoke(table.base, span, (), values, None)
-            if interp._guard:
-                hit = interp._sites.get(site)
-                if hit is not None and hit[0] == interp.store.epoch:
-                    return interp._invoke(hit[3], span, hit[4], values, None)
-            return interp._dispatch(table, None, values, span, site)
-        builtin = interp._BUILTINS.get(name)
-        if builtin is not None:
-            return builtin(interp, args(interp, frame), span)
-        raise UnknownFunctionError(f"unknown function '{name}'", span)
-
-    if not found:
-        return call
-
-    # a bound local first; one slot of this frame or its parent is read inline
-    depth, index = found[0]
-    inline = len(found) == 1 and depth <= 1
-
-    def local_call(interp, frame):
-        if inline:
-            fn = (frame[0] if depth else frame)[index]
+    def body(self, lam: nodes.Lambda) -> Tuple[str, list]:
+        body = lam.body
+        if not isinstance(body, nodes.Block):
+            self.begin(_Scope(lam.outer, lam.params, (), call=True))
+            self.emit(f"return {self.expr(body)}")
         else:
-            hit = _find(frame, found)
-            fn = _UNBOUND if hit is None else hit[0][hit[1]]
-        if fn is _UNBOUND:
-            return call(interp, frame)
-        if not isinstance(fn, FunctionValue):
-            raise CongoTypeError(f"'{name}' is not callable", span)
-        return interp._invoke(fn, span, None, args(interp, frame), None)
+            scope = _Scope(lam.outer, lam.params, _lets(body.stmts), call=True)
+            self.begin(scope)
+            if scope.padding:
+                self.emit("frame += (" + "UNBOUND, " * scope.padding + ")")
+            self.stmts(body.stmts)
+            self.emit("return None")
+        self.end()
+        params = ", ".join(map("k{}".format, range(len(self.consts))))
+        self.done.append(" return b0\n")
+        return f"def make({params}):\n" + "\n".join(self.done), self.consts
 
-    return local_call
+    # --- plumbing ---------------------------------------------------------------
 
+    def begin(self, scope: _Scope) -> Tuple[Optional[_Function], str]:
+        """Start a function whose frame is ``scope``'s; returns the function
+        to resume and the new one's name."""
+        outer, name = self.fn, self.function()
+        self.fn = _Function(name, scope)
+        return outer, name
 
-def _compile_method(expr: nodes.MethodCall, scope: _Scope) -> Callable:
-    name, span, site = expr.name, expr.span, expr.site_id
-    receiver_of, args = _compile(expr.receiver, scope), _compile_args(expr.args, scope)
-    builtin = Runtime._OBJECT_BUILTINS.get(name)
+    def end(self, outer: Optional[_Function] = None) -> None:
+        self.done.append("\n".join(self.fn.lines))
+        self.fn = outer
 
-    def method(interp, frame):
-        receiver, values = receiver_of(interp, frame), args(interp, frame)
-        if not isinstance(receiver, DynObject):
-            raise CongoTypeError(
-                f"method call '{name}' on non-object value {stringify(receiver, span)!r}",
-                span,
-            )
+    def emit(self, *lines: str) -> None:
+        fn = self.fn
+        for line in lines:
+            fn.lines.append(fn.pad + line)
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def frame_at(self, depth: int) -> str:
+        """The frame ``depth`` scopes out from the innermost one."""
+        frames = self.fn.frames
+        if depth < len(frames):
+            return frames[-1 - depth][1]
+        hops = depth - len(frames) + 1
+        if hops <= 2:
+            return "frame" + "[0]" * hops
+        t = self.fn.temp()
+        self.emit(f"{t} = up(frame, {hops})")
+        return t
+
+    def read(self, found) -> str:
+        """A temporary that holds the first bound slot of ``found``, or UNBOUND."""
+        t = self.fn.temp()
+        if len(found) == 1:
+            self.emit(f"{t} = {self.frame_at(found[0][0])}[{found[0][1]}]")
+        else:
+            self.emit(f"{t} = lookup({self.fn.here}, {self.const(found)})")
+        return t
+
+    def outline(self, generate: Callable, node) -> str:
+        """Run ``generate(node)`` in a function of its own that starts in
+        this scope's frame; returns the expression that calls it."""
+        here = self.fn.here
+        outer, name = self.begin(self.fn.scope)
+        generate(node)
+        self.end(outer)
+        return f"{name}(interp, {here})"
+
+    # --- expressions ------------------------------------------------------------
+
+    def expr(self, node) -> str:
+        """Emit ``node``'s evaluation; returns the atom that holds its value:
+        a temporary, a constant or None."""
+        return _EXPRS[type(node)](self, node)
+
+    def literal(self, node) -> str:
+        return self.const(node.value)
+
+    def null(self, node) -> str:
+        return "None"
+
+    def ident(self, node: nodes.Ident) -> str:
+        found, bound = self.fn.scope.resolve(node.name)
+        t = self.read(found) if found else "None"
+        if not bound:
+            test = f"if {t} is UNBOUND: " if found else ""
+            self.emit(f"{test}raise fault({self.const(node)})")
+        return t
+
+    def binary(self, node: nodes.BinaryOp) -> str:
+        op, fn = node.op, self.fn
+        if op == "&&" or op == "||":  # here, not in a method of its own: a frame a level
+            k, t = self.const(node), fn.temp()
+            # '&&' needs its right operand when the left one is true, '||' when false
+            self.emit(f"{t} = {self.expr(node.left)}",
+                      f"if {t} is not True and {t} is not False: raise fault({k}, {t})",
+                      f"if {t} is {op == '&&'}:")
+            fn.pad += " "
+            if len(fn.pad) < _MAX_INDENT:
+                b = self.expr(node.right)
+            else:  # CPython refuses 100 levels
+                b = fn.temp()
+                call = self.outline(lambda n: self.emit(f"return {self.expr(n)}"), node.right)
+                self.emit(f"{b} = {call}")
+            self.emit(f"if {b} is not True and {b} is not False: raise fault({k}, {b}, True)",
+                      f"{t} = {b}")
+            fn.pad = fn.pad[:-1]
+            return t
+        a, b, t = self.expr(node.left), self.expr(node.right), fn.temp()
+        slow = f"{t} = apply_binary({self.const(op)}, {a}, {b}, {self.const(node.span)})"
+        py = _PY_OPS.get(op)
+        left, right = type(node.left), type(node.right)
+        if py is None or left in _NOT_INT or right in _NOT_INT:
+            self.emit(slow)
+            return t
+        tests = []
+        if left is not nodes.IntLit:
+            tests.append(f"type({a}) is int")
+        if right is not nodes.IntLit:
+            tests.append(f"type({b}) is int")
+        if py == "//" or py == "%":  # a zero divisor is _apply_binary's error
+            if right is not nodes.IntLit:
+                tests.append(b)
+            elif not node.right.value:
+                self.emit(slow)
+                return t
+        if tests:
+            self.emit(f"if {' and '.join(tests)}: {t} = {a} {py} {b}", f"else: {slow}")
+        else:
+            self.emit(f"{t} = {a} {py} {b}")
+        return t
+
+    def unary(self, node: nodes.UnaryOp) -> str:
+        a, k, t = self.expr(node.operand), self.const(node), self.fn.temp()
+        if node.op == "-":
+            self.emit(f"if {a} is True or {a} is False or not isinstance({a}, NUMBERS): "
+                      f"raise fault({k})",
+                      f"{t} = -{a}")
+        else:
+            self.emit(f"if {a} is not True and {a} is not False: raise fault({k}, {a})",
+                      f"{t} = {a} is False")
+        return t
+
+    def args(self, exprs) -> str:
+        """Emit the arguments left to right; returns their tuple display."""
+        atoms = list(map(self.expr, exprs))
+        return f"({atoms[0]},)" if len(atoms) == 1 else f"({', '.join(atoms)})"
+
+    def call(self, node: nodes.Call) -> str:
+        name, span, k, fn = node.callee, self.const(node.span), self.const(node), self.fn
+        found, bound = fn.scope.resolve(name)
+        if found:  # a bound local first, and only then the module's name
+            local = self.read(found)
+            not_callable = f"raise fault({k}, {local})"
+            if bound:  # a parameter, never the module's name
+                self.emit(f"if not isinstance({local}, FunctionValue): {not_callable}")
+                args, t = self.args(node.args), fn.temp()
+                self.emit(f"{t} = interp._invoke({local}, {span}, None, {args}, None)")
+                return t
+            self.emit(f"if {local} is UNBOUND:")
+            fn.pad += " "
+        # the module's function, else a builtin
+        table, builtin, kname = fn.temp(), fn.temp(), self.const(name)
+        self.emit(f"{table} = interp._tables.get({kname})",
+                  f"if {table} is None:",
+                  f" {builtin} = interp._BUILTINS.get({kname})",
+                  f" if {builtin} is None: raise fault({k}, UNBOUND)")
+        if found:
+            fn.pad = fn.pad[:-1]
+            self.emit(f"elif not isinstance({local}, FunctionValue): {not_callable}")
+        args, t, site = self.args(node.args), fn.temp(), self.const(node.site_id)
+        branch = "if"
+        if found:
+            self.emit(f"if {local} is not UNBOUND: "
+                      f"{t} = interp._invoke({local}, {span}, None, {args}, None)")
+            branch = "elif"
+        # no layers, else the chain the guard remembers here, else a decision
+        self.emit(f"{branch} {table} is None: {t} = {builtin}(interp, {args}, {span})",
+                  f"elif not {table}.layers: "
+                  f"{t} = interp._invoke({table}.base, {span}, (), {args}, None)",
+                  "else:",
+                  f" {t} = interp._sites.get({site})",
+                  f" if {t} is not None and {t}[0] == interp.store.epoch: "
+                  f"{t} = interp._invoke({t}[3], {span}, {t}[4], {args}, None)",
+                  f" else: {t} = interp._dispatch({table}, None, {args}, {span}, {site})")
+        return t
+
+    def method(self, node: nodes.MethodCall) -> str:
+        name, span, k, fn = node.name, self.const(node.span), self.const(node), self.fn
+        receiver, args, t = self.expr(node.receiver), self.args(node.args), fn.temp()
+        self.emit(f"if type({receiver}) is not DynObject "
+                  f"and not isinstance({receiver}, DynObject): raise fault({k}, {receiver})")
+        builtin = Runtime._OBJECT_BUILTINS.get(name)
         if builtin is not None:
-            return builtin(interp, receiver, values, span)
-        table = receiver.methods.get(name)
-        if table is not None:  # the same three paths as a function call
-            if not table.layers:
-                return interp._invoke(table.base, span, (), values, receiver)
-            if interp._guard:
-                hit = interp._sites.get(site)
-                if hit is not None and hit[0] == interp.store.epoch \
-                        and hit[1] == receiver.identity and hit[2] == receiver.version:
-                    return interp._invoke(hit[3], span, hit[4], values, receiver)
-            return interp._dispatch(table, receiver, values, span, site)
+            self.emit(f"{t} = {self.const(builtin)}(interp, {receiver}, {args}, {span})")
+            return t
+        table, kname, site = fn.temp(), self.const(name), self.const(node.site_id)
         # dynamic property access: zero args reads, one arg writes
-        if not values:
-            if name in receiver.properties:
-                return receiver.properties[name]
-            raise UnknownMethodError(
-                f"object has no method or property '{name}'", span
-            )
-        if len(values) == 1:
-            receiver.properties[name] = values[0]
-            return receiver
-        raise UnknownMethodError(f"object has no method '{name}'", span)
+        if not node.args:
+            access = (f" {t} = {receiver}.properties.get({kname}, UNBOUND)",
+                      f" if {t} is UNBOUND: raise fault({k}, {receiver})")
+        elif len(node.args) == 1:
+            access = (f" {receiver}.properties[{kname}] = {args[1:-2]}", f" {t} = {receiver}")
+        else:
+            access = (f" raise fault({k}, {receiver})",)
+        # the same three paths as a function call
+        self.emit(f"{table} = {receiver}.methods.get({kname})",
+                  f"if {table} is None:",
+                  *access,
+                  f"elif not {table}.layers: "
+                  f"{t} = interp._invoke({table}.base, {span}, (), {args}, {receiver})",
+                  "else:",
+                  f" {t} = interp._sites.get({site})",
+                  f" if {t} is not None and {t}[0] == interp.store.epoch"
+                  f" and {t}[1] == {receiver}.identity and {t}[2] == {receiver}.version: "
+                  f"{t} = interp._invoke({t}[3], {span}, {t}[4], {args}, {receiver})",
+                  f" else: {t} = interp._dispatch({table}, {receiver}, {args}, {span}, {site})")
+        return t
 
-    return method
+    def proceed(self, node: nodes.Proceed) -> str:
+        span, scope, depth = self.const(node.span), self.fn.scope, 0
+        while not scope.call:  # the block frames between this one and the call's
+            scope, depth = scope.parent, depth + 1
+        call, t = self.frame_at(depth), self.fn.temp()
+        if "[" in call:  # frame[0]...: the call's frame is read three times below
+            self.emit(f"{t} = {call}")
+            call, t = t, self.fn.temp()
+        self.emit(f"{t} = {call}[1]", f"if not {t}: raise fault({self.const(node)}, {t})")
+        args = self.args(node.args) if node.args else f"{call}[2]"
+        self.emit(f"{t} = interp._invoke({t}[0], {span}, {t}[1:], {args}, {call}[3])")
+        return t
 
+    def lambda_value(self, node: nodes.Lambda) -> str:
+        node.outer, t = self.fn.scope, self.fn.temp()
+        self.emit(f"{t} = FunctionValue({self.const(node)}, {self.fn.here})")
+        return t
 
-def _compile_proceed(expr: nodes.Proceed, scope: _Scope) -> Callable:
-    span = expr.span
-    args = _compile_args(expr.args, scope) if expr.args else None
-    hops = 0  # the block frames between this one and the call's
-    while not scope.call:
-        scope, hops = scope.parent, hops + 1
+    # --- statements -------------------------------------------------------------
 
-    def proceed(interp, frame):
-        call = frame
-        if hops:
-            for _ in range(hops):
-                call = call[0]
-        remaining = call[1]
-        if remaining is None:
-            raise ProceedExhaustedError(
-                "proceed called outside a layered dispatch", span
-            )
-        if not remaining:
-            raise ProceedExhaustedError(
-                "proceed called but the variant chain is exhausted", span
-            )
-        sent = call[2] if args is None else args(interp, frame)
-        return interp._invoke(remaining[0], span, remaining[1:], sent, call[3])
-
-    return proceed
-
-
-def _compile_let(stmt: nodes.LetStmt, scope: _Scope) -> Callable:
-    # a let binds a slot of the frame its own block runs in
-    index, value = scope.slots[stmt.name], _compile(stmt.value, scope)
-
-    def let(interp, frame):
-        frame[index] = value(interp, frame)
-        return _NEXT
-
-    return let
-
-
-def _compile_assign(stmt: nodes.AssignStmt, scope: _Scope) -> Callable:
-    name, value, span = stmt.name, _compile(stmt.value, scope), stmt.span
-    found = scope.resolve(name)
-    if len(found) == 1 and found[0][0] <= 1:
-        depth, index = found[0]
-
-        def assign_slot(interp, frame):
-            result = value(interp, frame)
-            if depth:
-                frame = frame[0]
-            if frame[index] is _UNBOUND:
-                raise UnknownVariableError(
-                    f"assignment to undefined variable '{name}'", span
-                )
-            frame[index] = result
-            return _NEXT
-
-        return assign_slot
-
-    def assign(interp, frame):
-        result = value(interp, frame)
-        hit = _find(frame, found)
-        if hit is None:
-            raise UnknownVariableError(
-                f"assignment to undefined variable '{name}'", span
-            )
-        hit[0][hit[1]] = result
-        return _NEXT
-
-    return assign
-
-
-def _compile_return(stmt: nodes.ReturnStmt, scope: _Scope) -> Callable:
-    # an expression closure never returns _NEXT, so it is the statement
-    if stmt.value is None:
-        return lambda interp, frame: None
-    return _compile(stmt.value, scope)
-
-
-def _compile_if(stmt: nodes.IfStmt, scope: _Scope) -> Callable:
-    cond, then, span = _compile(stmt.cond, scope), _compile(stmt.then, scope), stmt.span
-    # an else-if runs in this scope; an else block opens its own
-    orelse = _compile(stmt.orelse, scope) if stmt.orelse is not None else None
-
-    def if_(interp, frame):
-        test = cond(interp, frame)
-        if test is True:
-            return then(interp, frame)
-        if test is not False:
-            raise _not_bool("if condition", test, span)
-        return _NEXT if orelse is None else orelse(interp, frame)
-
-    return if_
-
-
-def _compile_while(stmt: nodes.WhileStmt, scope: _Scope) -> Callable:
-    cond, body, span = _compile(stmt.cond, scope), _compile(stmt.body, scope), stmt.span
-
-    def while_(interp, frame):
-        while True:
-            test = cond(interp, frame)
-            if test is not True:
-                if test is False:
-                    return _NEXT
-                raise _not_bool("while condition", test, span)
-            result = body(interp, frame)
-            if result is not _NEXT:
-                return result
-
-    return while_
-
-
-def _compile_expr_stmt(stmt: nodes.ExprStmt, scope: _Scope) -> Callable:
-    expr = _compile(stmt.expr, scope)
-
-    def expr_stmt(interp, frame):
-        expr(interp, frame)
-        return _NEXT
-
-    return expr_stmt
-
-
-def _compile_block(block: nodes.Block, scope: _Scope) -> Callable:
-    # a block without lets runs in the enclosing frame
-    lets = _lets(block.stmts)
-    if lets:
-        scope = _Scope(scope, (), lets)
-    padding = scope.padding if lets else ()
-    stmts = tuple(_compile(stmt, scope) for stmt in block.stmts)
-
-    def run_block(interp, frame):
-        if padding:
-            frame = [frame, *padding]
+    def stmts(self, stmts) -> None:
         for stmt in stmts:
-            result = stmt(interp, frame)
-            if result is not _NEXT:
-                return result
-        return _NEXT
+            self.stmt(stmt)
 
-    return run_block
+    def stmt(self, stmt) -> None:
+        _STMTS[type(stmt)](self, stmt)
+
+    def let(self, stmt: nodes.LetStmt) -> None:
+        # a let binds a slot of the frame its own block runs in
+        value = self.expr(stmt.value)
+        self.emit(f"{self.fn.here}[{self.fn.scope.slots[stmt.name]}] = {value}")
+
+    def assign(self, stmt: nodes.AssignStmt) -> None:
+        value = self.expr(stmt.value)
+        found, bound = self.fn.scope.resolve(stmt.name)
+        unknown = f"raise fault({self.const(stmt)})"
+        if len(found) == 1:
+            frame = self.frame_at(found[0][0])
+            slot = f"{frame}[{found[0][1]}]"
+            if not bound:
+                self.emit(f"if {slot} is UNBOUND: {unknown}")
+            self.emit(f"{slot} = {value}")
+        elif found:
+            t = self.fn.temp()
+            self.emit(f"{t} = find({self.fn.here}, {self.const(found)})",
+                      f"if {t} is None: {unknown}",
+                      f"{t}[0][{t}[1]] = {value}")
+        else:
+            self.emit(unknown)
+
+    def return_(self, stmt: nodes.ReturnStmt) -> None:
+        self.emit("return None" if stmt.value is None else f"return {self.expr(stmt.value)}")
+
+    def expr_stmt(self, stmt: nodes.ExprStmt) -> None:
+        self.expr(stmt.expr)
+
+    def block(self, block: nodes.Block) -> None:
+        # a block without lets runs in the enclosing frame, inline
+        lets, fn = _lets(block.stmts), self.fn
+        if not lets:
+            self.stmts(block.stmts)
+            return
+        scope, frame = _Scope(fn.scope, (), lets), f"s{len(fn.frames) - 1}"
+        self.emit(f"{frame} = [{fn.here}" + ", UNBOUND" * scope.padding + "]")
+        fn.frames.append((scope, frame))
+        fn.scope, fn.here = scope, frame
+        self.stmts(block.stmts)
+        fn.frames.pop()
+        fn.scope, fn.here = fn.frames[-1]
+
+    def block_function(self, node) -> str:
+        """A call of a function that runs a Block, or an else-if in this scope;
+        it returns NEXT unless the block returns."""
+        def generate(node):
+            self.stmt(node)
+            self.emit("return NEXT")
+        return self.outline(generate, node)
+
+    def if_(self, stmt: nodes.IfStmt) -> None:
+        test, result = self.expr(stmt.cond), self.fn.temp()
+        fail = f"raise fault({self.const(stmt)}, {test})"
+        then = self.block_function(stmt.then)
+        if stmt.orelse is None:
+            self.emit(f"if {test} is True:",
+                      f" {result} = {then}",
+                      f" if {result} is not NEXT: return {result}",
+                      f"elif {test} is not False: {fail}")
+            return
+        # an else-if runs in this scope; an else block opens its own
+        orelse = self.block_function(stmt.orelse)
+        self.emit(f"if {test} is True: {result} = {then}",
+                  f"elif {test} is False: {result} = {orelse}",
+                  f"else: {fail}",
+                  f"if {result} is not NEXT: return {result}")
+
+    def while_(self, stmt: nodes.WhileStmt) -> None:
+        body, result, fn = self.block_function(stmt.body), self.fn.temp(), self.fn
+        k = self.const(stmt)
+        self.emit("while True:")
+        fn.pad += " "
+        test = self.expr(stmt.cond)
+        self.emit(f"if {test} is not True:",
+                  f" if {test} is False: break",
+                  f" raise fault({k}, {test})",
+                  f"{result} = {body}",
+                  f"if {result} is not NEXT: return {result}")
+        fn.pad = fn.pad[:-1]
 
 
-_COMPILERS = {
-    nodes.IntLit: _compile_constant,
-    nodes.FloatLit: _compile_constant,
-    nodes.StringLit: _compile_constant,
-    nodes.BoolLit: _compile_constant,
-    nodes.NullLit: _compile_null,
-    nodes.Ident: _compile_ident,
-    nodes.BinaryOp: _compile_binary,
-    nodes.UnaryOp: _compile_unary,
-    nodes.Call: _compile_call,
-    nodes.MethodCall: _compile_method,
-    nodes.Proceed: _compile_proceed,
-    nodes.Lambda: _compile_lambda_value,
-    nodes.LetStmt: _compile_let,
-    nodes.AssignStmt: _compile_assign,
-    nodes.ReturnStmt: _compile_return,
-    nodes.IfStmt: _compile_if,
-    nodes.WhileStmt: _compile_while,
-    nodes.ExprStmt: _compile_expr_stmt,
-    nodes.Block: _compile_block,
+_EXPRS = {
+    nodes.IntLit: _Generator.literal,
+    nodes.FloatLit: _Generator.literal,
+    nodes.StringLit: _Generator.literal,
+    nodes.BoolLit: _Generator.literal,
+    nodes.NullLit: _Generator.null,
+    nodes.Ident: _Generator.ident,
+    nodes.BinaryOp: _Generator.binary,
+    nodes.UnaryOp: _Generator.unary,
+    nodes.Call: _Generator.call,
+    nodes.MethodCall: _Generator.method,
+    nodes.Proceed: _Generator.proceed,
+    nodes.Lambda: _Generator.lambda_value,
+}
+_STMTS = {
+    nodes.LetStmt: _Generator.let,
+    nodes.AssignStmt: _Generator.assign,
+    nodes.ReturnStmt: _Generator.return_,
+    nodes.IfStmt: _Generator.if_,
+    nodes.WhileStmt: _Generator.while_,
+    nodes.ExprStmt: _Generator.expr_stmt,
+    nodes.Block: _Generator.block,
 }
 
 

@@ -163,7 +163,10 @@ class Lambda:
     annotation: Optional[LayerAnnotation]
     body: Union["Block", "Expr"]  # an Expr body means the compact "->" form
     span: SourceSpan = field(compare=False)
-    # the body's closure, compiled by the interpreter on the first call
+    # the body as one generated Python function, made by the interpreter on
+    # the first call; its source holds no ConGo text (literals, names and
+    # spans are closure cells), so bodies of one shape share one code object
+    # through the interpreter's bounded cache of generated sources
     code: Optional[Callable] = field(default=None, compare=False, repr=False)
     # the compile-time scope the lambda appears in, None at module level;
     # the interpreter sets it when it compiles the enclosing body

@@ -306,18 +306,20 @@ def python_calls(runtime, name, args):
     return calls
 
 
-# The counts measured once proceed's state moved into the call's frame and a
-# cached call was taken where it is made, and once a decided call lost three
-# frames: dispatch_data (the table's data is read in place) and the named-tuple
-# __new__ of the request and of a memoised reply (both built by tuple.__new__).
-# A decided call is call, _dispatch, snapshot_meta, decide_or_fail, decide,
-# validate_response, _invoke and the body; a layer adds proceed and _invoke.
-# A change that puts a Python frame back on the call path fails here: each
-# frame costs every tick, and depth.
+# The counts measured once each ConGo body became one generated function:
+# a call costs _invoke and the body, and a proceed() or an operator costs no
+# frame of its own.  A decided call is call, _dispatch, snapshot_meta,
+# decide_or_fail, decide, validate_response, _invoke and the body; a layer
+# adds _invoke and its body, and so does each plain call in plain_layered10's
+# chain (30 while every call and operand was a closure of its own).  A guard
+# hit is taken in call itself.  A change that puts a Python frame back on the
+# call path fails here: each frame costs every tick, and depth.
 @pytest.mark.parametrize("program,policy,most", [
     ("plain_single", CachePolicy.NONE, 3),
-    ("contextual_single", CachePolicy.EPOCH_GUARD, 4),
+    ("plain_layered10", CachePolicy.NONE, 21),
+    ("contextual_single", CachePolicy.EPOCH_GUARD, 3),
     ("contextual_single", CachePolicy.NONE, 8),
+    ("contextual_layered10", CachePolicy.EPOCH_GUARD, 23),
     ("contextual_layered10", CachePolicy.NONE, 28),
 ])
 def test_python_calls_per_host_call_stay_within_the_measured_count(
@@ -327,6 +329,28 @@ def test_python_calls_per_host_call_stay_within_the_measured_count(
         for x in range(3):  # compile the body, fill the memo and the site
             runtime.call("work", (x,))
         assert python_calls(runtime, "work", (5,)) <= most
+
+
+# contextual_layered10's layers are a bare proceed(), which cost one frame as
+# a closure too.  Layers that compute show the difference: a guard hit on
+# this chain cost 76 Python calls while every operand, operator and proceed()
+# was a closure of its own, and costs what a bare chain does now.
+WORKING_LAYERS = "\n".join([
+    "module m",
+    "contexts = [BenchStack()]",
+    "function work = |x| -> x * x + 1",
+    *(f"function work = |x| @(BenchStack=L{k}) -> proceed(x + {k}) * 2 - x" for k in range(1, 11)),
+]) + "\n"
+
+
+def test_python_calls_of_a_guard_hit_on_computing_layers_stay_within_the_measured_count(
+        bench_stack):
+    config = RunConfig(dispatch_mode=DispatchMode.DIRECT, cache_policy=CachePolicy.EPOCH_GUARD)
+    with Runtime(compile_source(WORKING_LAYERS, file="<test>"), config) as runtime:
+        for x in range(3):  # compile the bodies and fill the site
+            runtime.call("work", (x,))
+        assert runtime.call("work", (5,)) == 3630061
+        assert python_calls(runtime, "work", (5,)) <= 23
 
 
 def python_calls_on_both_threads(runtime, name, args):

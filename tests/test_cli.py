@@ -97,8 +97,8 @@ def test_recursion_reaches_depth_190(tmp_path):
 
 
 def test_recursion_reaches_depth_240(tmp_path):
-    # a call costs four Python frames, which reaches f(245) under the default
-    # recursion limit; a fifth frame per call stops near f(195)
+    # holds at up to four Python frames per call, which reach f(245); the
+    # next test pins the depth of two
     src = (
         "module m\n"
         "function f = |n| { if n == 0 { return 0 } return 1 + f(n - 1) }\n"
@@ -106,6 +106,19 @@ def test_recursion_reaches_depth_240(tmp_path):
     )
     proc = cli("run", write(tmp_path, "depth.congo", src))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "240\n", "")
+
+
+def test_recursion_reaches_depth_480(tmp_path):
+    # a call costs two Python frames, _invoke and the body's generated
+    # function, which reaches f(493) under the default recursion limit; a
+    # third frame per call stops near f(330)
+    src = (
+        "module m\n"
+        "function f = |n| { if n == 0 { return 0 } return 1 + f(n - 1) }\n"
+        "function main = || { println(f(480)) }\n"
+    )
+    proc = cli("run", write(tmp_path, "depth.congo", src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "480\n", "")
 
 
 def test_deep_nesting_is_one_parse_error_line(tmp_path):

@@ -150,10 +150,10 @@ def test_condition_must_be_boolean():
         run_program("module m\nfunction main = || { if 1 { return 2 } }\n")
 
 
-# Every operator over every kind of operand the compiler tells apart, against
-# _apply_binary on the same values: an int literal (its own fused closures, on
-# the right), a literal of any other type, a parameter (read inline when the
-# right operand is an int literal, and as a call's only argument), and any
+# Every operator over every kind of operand the code generator tells apart,
+# against _apply_binary on the same values: an int literal (no type test of
+# its own, and no zero test as a divisor), a literal of any other type
+# (always _apply_binary), a parameter (read with no unbound test), and any
 # other expression.
 _HUGE = 2 ** 1100 + 3  # too large to become a float
 _OPERATORS = ("+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=")
@@ -589,10 +589,11 @@ CALLS_THEN_COMPILE = (
 def test_compile_that_runs_out_of_stack_under_deep_calls_blames_the_calls():
     # g is compiled on its first call, at the bottom of f's recursion; across
     # these depths the stack runs out inside that compile at least once.  A
-    # level costs a few Python frames, so the depths span every plausible cost.
+    # level costs two Python frames (an _invoke and f's body) or a few more,
+    # so the depths span every plausible cost.
     compile_failures = 0
     limit = sys.getrecursionlimit()
-    for depth in range(limit // 10, limit // 3):
+    for depth in range(limit // 10, limit // 2):
         lowered = compile_source(CALLS_THEN_COMPILE, file="<test>")
         try:
             run(lowered, entry="f", args=(depth,),
