@@ -1,11 +1,17 @@
 """Lexer for ConGo source text.
 
-One token table drives the scan: a single pattern with one named group
-per token class, applied to each line in turn, as in Lex.  Comments run
-from ``#`` to end of line.  The layer-marker sequences ``@(``, ``)+`` and
-``|+@(`` are emitted as ordinary token runs (``@(`` is one token, the
-plus signs separate tokens) and disambiguated by the parser from their
-position.
+The scan is one pattern with no named groups, applied to each line in
+turn (a group per token class would double its cost).  Each match is
+classified by its own text: a punctuator by exact lookup in a frozenset,
+anything else by its first character.  A letter or ``_`` starts a name,
+which is a keyword if the keyword frozenset holds it; a digit starts a
+number, which is a float if it has a ``.``; ``"`` starts a string; ``#``
+or nothing is the end of the line; any other character is illegal.
+Only a string literal goes back to a pattern with groups, to decode its
+escapes.  Comments run from ``#`` to end of line.  The layer-marker
+sequences ``@(``, ``)+`` and ``|+@(`` are emitted as ordinary token runs
+(``@(`` is one token, the plus signs separate tokens) and disambiguated
+by the parser from their position.
 
 Each ``Token`` and its ``SourceSpan`` is built with the C tuple
 constructor (``tuple.__new__``), so a token costs no Python-level call;
@@ -44,21 +50,33 @@ KEYWORDS = frozenset({
 # 'contexts' and 'proceed' stay ordinary identifiers; the parser treats
 # them positionally so they remain usable as method and property names.
 
+PUNCTUATORS = frozenset({
+    "@(", "->", "==", "!=", "<=", ">=", "||", "&&",
+    "-", "=", "<", ">", "+", "*", "/", "%", "(", ")", "[", "]", "{", "}",
+    ",", "|", ":", ".",
+})
+
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIGITS = frozenset("0123456789")
+
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 # Tried left to right at each position; spaces, tabs and carriage returns
-# between tokens match no group and are skipped.  Numbers are ASCII
-# digits only.  A string runs to its closing quote or, when it has none,
-# to the end of the line: ``close`` is then empty.
+# between tokens match nothing and are skipped.  Numbers are ASCII digits
+# only.  A string runs to its closing quote or, when it has none, to the
+# end of the line.  Every line ends with a comment or an empty match.
 _TOKEN = re.compile(r"""
-      (?P<float>   [0-9]+ \. [0-9]+ )
-    | (?P<int>     [0-9]+ )
-    | (?P<name>    [A-Za-z_] [A-Za-z0-9_]* )
-    | (?P<string>  " (?P<body> (?: [^"\\] | \\. )* ) (?P<close> "? ) )
-    | (?P<punct>   @\( | -> | == | != | <= | >= | \|\| | && | [-=<>+*/%()\[\]{},|:.] )
-    | (?P<end>     \# .* | $ )
-    | (?P<bad>     [^ \t\r] )
+      [0-9]+ (?: \. [0-9]+ )?
+    | [A-Za-z_] [A-Za-z0-9_]*
+    | " (?: [^"\\] | \\. )* "?
+    | @\( | -> | == | != | <= | >= | \|\| | && | [-=<>+*/%()\[\]{},|:.]
+    | \# .* | $
+    | [^ \t\r]
 """, re.VERBOSE)
+
+# A string literal again, for its body and its closing quote (``close`` is
+# empty when it has none).
+_STRING = re.compile(r'" (?P<body> (?: [^"\\] | \\. )* ) (?P<close> "? )', re.VERBOSE)
 
 _ESCAPE = re.compile(r"\\(.)")
 
@@ -94,21 +112,32 @@ def tokenize(source: str, file: str = "<string>") -> List[Token]:
     append = tokens.append
     new = tuple.__new__  # builds a Token or a SourceSpan with no Python-level call
     finditer = _TOKEN.finditer
+    puncts, keywords, name_start, digits = PUNCTUATORS, KEYWORDS, _NAME_START, _DIGITS
     # the kinds of the common tokens: an Enum member read off its class is a
     # Python-level lookup
     ident, keyword, punct, integer = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT, TokenKind.INT
     for line, text in enumerate(source.split("\n"), 1):
-        for m in finditer(text):  # every line ends with an 'end' match
-            kind, start = m.lastgroup, m.start()
-            if kind == "end":
+        for m in finditer(text):  # every line ends with a comment or an empty match
+            word = m[0]
+            if word in puncts:
+                append(new(Token, (punct, word, None, new(SourceSpan, (file, line, m.start() + 1)))))
+                continue
+            first = word[:1]
+            if first in name_start:
+                kind = keyword if word in keywords else ident
+                append(new(Token, (kind, word, None, new(SourceSpan, (file, line, m.start() + 1)))))
+                continue
+            start = m.start()
+            if first == "#" or not word:
                 break
-            word = m.group()
             span = new(SourceSpan, (file, line, start + 1))
-            if kind == "name":
-                append(new(Token, (keyword if word in KEYWORDS else ident, word, None, span)))
-            elif kind == "punct":
-                append(new(Token, (punct, word, None, span)))
-            elif kind == "int":
+            if first in digits:
+                if "." in word:
+                    value = float(word)
+                    if math.isinf(value):
+                        raise LexError("float literal is too large for a double", span)
+                    append(new(Token, (TokenKind.FLOAT, word, value, span)))
+                    continue
                 try:
                     value = int(word)
                 except ValueError:  # longer than Python's int-from-text limit
@@ -117,13 +146,8 @@ def tokenize(source: str, file: str = "<string>") -> List[Token]:
                         span,
                     ) from None
                 append(new(Token, (integer, word, value, span)))
-            elif kind == "float":
-                value = float(word)
-                if math.isinf(value):
-                    raise LexError("float literal is too large for a double", span)
-                append(new(Token, (TokenKind.FLOAT, word, value, span)))
-            elif kind == "string":
-                value = _decode(m, span)
+            elif first == '"':
+                value = _decode(_STRING.match(text, start), span)
                 append(new(Token, (TokenKind.STRING, value, value, span)))
             else:
                 raise LexError(f"illegal character {word!r}", span)

@@ -261,7 +261,7 @@ def lower(ast: nodes.ModuleAst) -> LoweredModule:
     for decl in ast.decls:
         if decl.fn.annotation is None and not tables[decl.name].layers:
             for node in nodes.walk(decl.fn, into_lambdas=False):
-                if isinstance(node, nodes.Proceed):
+                if type(node) is nodes.Proceed:
                     raise ProceedOutsideLayerError(
                         f"proceed in '{decl.name}', which has no layered variants",
                         node.span,

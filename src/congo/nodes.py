@@ -13,7 +13,9 @@ import gc
 import itertools
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union, get_args
+from typing import (
+    Callable, ForwardRef, Iterator, NamedTuple, Optional, Tuple, Union, get_args,
+)
 
 
 class SourceSpan(NamedTuple):
@@ -266,26 +268,45 @@ Node = Union[Expr, Stmt, LayerAnnotation, FunctionDecl, ContextDecl, ModuleAst]
 NODE_TYPES = get_args(Node)
 
 
-# The fields walk reads of each node class, in declared order: all but the
-# span, which is a tuple too but never holds a node.
-_CHILD_FIELDS = {
-    cls: tuple(f.name for f in fields(cls) if f.name != "span") for cls in NODE_TYPES
+_NODE_TYPES = frozenset(NODE_TYPES)
+_NODE_TYPES_BUT_LAMBDA = _NODE_TYPES - {Lambda}
+
+
+@functools.cache
+def _holds_node(hint: object) -> bool:
+    """True if a field typed ``hint`` can hold a node: a node class, or a
+    ``Union``, ``Optional`` or ``Tuple`` with one among its arguments.  A
+    postponed annotation or a quoted name is evaluated in this module, as
+    ``typing.get_type_hints`` would, and once: the classes share them."""
+    if type(hint) is ForwardRef:
+        hint = hint.__forward_arg__
+    if type(hint) is str:
+        return _holds_node(eval(hint, globals()))
+    return hint in _NODE_TYPES or any(_holds_node(arg) for arg in get_args(hint))
+
+
+# The fields walk reads of each node class, in declared order: those whose
+# type hint names a node class.  The span, names, literal values, the layer
+# mode and the runtime bookkeeping (``Lambda.code``, ``Lambda.outer``) are
+# never read.
+_NODE_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if _holds_node(f.type))
+    for cls in NODE_TYPES
 }
 
 
 def walk(node: Node, into_lambdas: bool = True) -> Iterator[Node]:
     """Yield ``node`` and every AST node nested beneath it; nested lambdas
     and everything in them only if ``into_lambdas``."""
+    node_types = _NODE_TYPES if into_lambdas else _NODE_TYPES_BUT_LAMBDA
     stack = [node]
     while stack:
         current = stack.pop()
         yield current
-        for name in _CHILD_FIELDS[type(current)]:
+        for name in _NODE_FIELDS[type(current)]:
             value = getattr(current, name)
             for child in value if type(value) is tuple else (value,):
-                if isinstance(child, NODE_TYPES) and (
-                    into_lambdas or not isinstance(child, Lambda)
-                ):
+                if type(child) in node_types:
                     stack.append(child)
 
 

@@ -5,18 +5,19 @@ up to whitespace and a comment, and a source cut at any token boundary
 either parses or raises a ``CongoError`` that points inside the source.
 ``parse`` refuses a stream without its EOF token, the one the parser's
 lookahead rests on.  The last test counts the Python calls ``tokenize``
-and ``parse`` make.
+and ``parse`` make, and the Python and C calls of ``lower``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import sys
 from pathlib import Path
 
 import pytest
 
-from congo import nodes, parse, parse_source, tokenize
+from congo import lower, nodes, parse, parse_source, tokenize
 from congo.errors import CongoError, ParseError
 from congo.lexer import Token, TokenKind
 from congo.nodes import SourceSpan
@@ -184,13 +185,14 @@ def test_a_token_stream_without_its_eof_token_is_refused(tokens):
         parse(tokens)
 
 
-def python_calls(fn, *args):
-    """The Python function calls ``fn(*args)`` makes, itself included."""
+def python_calls(fn, *args, events=("call",)):
+    """The Python function calls ``fn(*args)`` makes, itself included (with
+    ``events=("call", "c_call")``, its calls of C functions too)."""
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
-        calls += event == "call"
+        calls += event in events
 
     gc.collect()  # no finalizer of earlier garbage runs inside the count
     # nor a collector callback some other library installed (hypothesis does)
@@ -208,11 +210,18 @@ def python_calls(fn, *args):
 # read the current token in place and consumed it with one test.  tokenize
 # makes two calls (itself and the collector pause) plus one per string
 # literal; a Python call per token, or per parser lookup, fails here.
+# lower's count takes in C calls as well, since walk's work per node is C
+# calls (getattr, list.append): it runs over the bases alone, so that each
+# is walked for a stray proceed, and a walk that reads every field or tests
+# each child with isinstance fails here.
 def test_python_calls_of_the_front_end_stay_within_the_measured_count():
     source = big_module(200)
     calls, tokens = python_calls(tokenize, source, "<calls>")
     strings = sum(tok.kind is TokenKind.STRING for tok in tokens)
     assert (len(tokens), strings) == (29216, 200)
     assert calls <= 2 + strings
-    calls, _ = python_calls(parse, tokens)
+    calls, ast = python_calls(parse, tokens)
     assert calls <= 77431
+    bases = dataclasses.replace(ast, decls=tuple(d for d in ast.decls if d.fn.annotation is None))
+    calls, _ = python_calls(lower, bases, events=("call", "c_call"))
+    assert calls <= 37410

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from congo.errors import (
     RedefinitionError,
     UnknownContextError,
 )
+from congo.interpreter import RunConfig, run
 from congo.lowering import MANGLE_MARKER, compile_source, format_ir, mangle
+from test_frontend_gc import big_module
 
 
 def lower_src(body: str):
@@ -304,3 +308,83 @@ def test_format_ir_is_stable_and_line_oriented():
         "TABLE f VARIANT f MODE REPLACE CONSTRAINTS -",
         "TABLE f VARIANT f__$context$__A_X__B_Y MODE BEFORE_BASE CONSTRAINTS A=X,B=Y",
     ]
+
+
+# --- walk against a reference over every field ---------------------------------
+
+
+def reference_walk(node, into_lambdas=True):
+    """``nodes.walk`` as it was first written: every dataclass field, each
+    value tested with ``isinstance`` against every node class."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        for f in dataclasses.fields(current):
+            value = getattr(current, f.name)
+            for child in value if type(value) is tuple else (value,):
+                if isinstance(child, N.NODE_TYPES) and (
+                    into_lambdas or not isinstance(child, N.Lambda)
+                ):
+                    stack.append(child)
+
+
+# Before and after layers (so lowering hangs a desugared lambda on each),
+# nested lambdas, and every statement form; run once, so the bodies that ran
+# hold their generated code and nested lambdas their compile-time scope.
+WALKED = """module walk.sample
+
+contexts = [Weather(), Battery()]
+
+function f = |x| {
+  let g = |y| -> y + x
+  if x > 1 && not (x == 5) { return g(x) } else if x < -3 { x = x: neg() } else {
+    while x < 0 { x = x + 1 }
+  }
+  return g(1) + 2.5 * f2(x, "s", null, true)
+}
+function f = |x| @(Weather=RAINY)+ { println(x) }
+function f = |x| +@(Battery=LOW) { let q = |z| -> z q(x) }
+function f = |x| @(Weather=RAINY, Battery=LOW) -> proceed(x + 1)
+function f2 = |a, b, c, d| -> a
+
+function main = || {
+  setConcrete("Weather", "rainfall_mm", 7.0)
+  setConcrete("Battery", "charge_pct", 5.0)
+  return f(3)
+}
+"""
+
+
+def walked_modules():
+    ran = compile_source(WALKED, file="<walk>")
+    run(ran, config=RunConfig(println=lambda line: None))
+    return [ran, compile_source(big_module(3), file="<walk>")]
+
+
+@pytest.mark.parametrize("into_lambdas", [True, False])
+def test_walk_yields_what_a_walk_over_every_field_yields(into_lambdas):
+    for lowered in walked_modules():
+        lambdas = [n for n in N.walk(lowered.ast) if isinstance(n, N.Lambda)]
+        assert any(lam.desugared is not None for lam in lambdas)
+        roots = [lowered.ast, *lambdas]
+        roots += [v.body for table in lowered.tables.values() for v in table.variants()]
+        for root in roots:
+            got = list(N.walk(root, into_lambdas))
+            want = list(reference_walk(root, into_lambdas))
+            assert len(got) == len(want)
+            assert all(a is b for a, b in zip(got, want))
+
+
+def test_walk_reads_only_the_fields_whose_type_hints_name_a_node():
+    # the compile-time scope a nested lambda keeps is typed object: it holds no node
+    assert typing.get_type_hints(N.Lambda)["outer"] is object
+    assert N._NODE_FIELDS[N.Lambda] == ("annotation", "body", "desugared")
+    assert N._NODE_FIELDS[N.IfStmt] == ("cond", "then", "orelse")
+    assert N._NODE_FIELDS[N.MethodCall] == ("receiver", "args")
+    assert N._NODE_FIELDS[N.ModuleAst] == ("context_decl", "decls")
+    assert N._NODE_FIELDS[N.LayerAnnotation] == N._NODE_FIELDS[N.Ident] == ()
+    (ran, _) = walked_modules()
+    scopes = [n.outer for n in N.walk(ran.ast) if isinstance(n, N.Lambda)]
+    assert any(scope is not None for scope in scopes)
+    assert not any(isinstance(scope, N.NODE_TYPES) for scope in scopes)
