@@ -5,7 +5,9 @@ publishers never execute handlers inline and per-subscription delivery
 is FIFO in publish order.  ``publish`` picks a message's subscribers
 when it is called: a subscription made after a publish does not receive
 that message, and a message that no subscription matches is not queued
-at all unless a trace hook is set (its sequence number is still used up).
+at all (its sequence number is still used up).  A trace hook is one more
+subscriber, to every topic, made before any other, so it sees every
+message before that message's handlers do.
 Each topic's subscriber list is found once and kept, under ``_lock``, for
 the next publish on that topic.  Every ``subscribe`` and ``unsubscribe``
 empties the kept lists, and so does a publish that finds ``_ROUTES_CAP``
@@ -44,8 +46,7 @@ plumbing, kept to a few frames: ``request_reply``, ``_PendingReply`` and
 ``_post`` on the caller; ``publish``, ``_post`` and the scan of the
 claimed reply's topic on the dispatcher.  Topics hash and compare in C,
 messages are built with ``tuple.__new__``, re-entry is a comparison of
-thread idents, and the dispatcher delivers inline, whether or not a trace
-hook is set.
+thread idents, and the dispatcher delivers inline.
 """
 
 from __future__ import annotations
@@ -151,7 +152,13 @@ class MessageBus:
         self._pending: Dict[Topic, _PendingReply] = {}
         self._seq = 0
         self._closed = False
-        self._trace = trace
+        if trace is not None:
+            def traced(message: Message) -> None:
+                trace(f"SEQ {message.publish_seq} {message.topic} "
+                      f"{type(message.payload).__name__}")
+
+            # the first subscription, so its line comes before a message's handlers
+            self._subscriptions.append(Subscription(Topic(("*",)), traced))
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="congo-bus", daemon=True
         )
@@ -203,7 +210,7 @@ class MessageBus:
                     if len(self._routes) >= _ROUTES_CAP:
                         self._routes = {}
                     self._routes[topic] = targets
-            if targets or self._trace is not None:
+            if targets:
                 self._queue.append((_new(Message, (topic, payload, seq)), targets))
                 wake, self._idle = self._idle, False
         if wake:
@@ -320,14 +327,6 @@ class MessageBus:
                 continue
             for message, targets in batch:
                 with self._delivery_lock:
-                    if self._trace is not None:
-                        try:
-                            self._trace(
-                                f"SEQ {message.publish_seq} {message.topic} "
-                                f"{type(message.payload).__name__}"
-                            )
-                        except Exception:
-                            log.exception("bus trace hook failed")
                     for subscription in targets:
                         if not subscription._active:
                             continue

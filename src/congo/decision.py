@@ -84,12 +84,11 @@ class DecisionFailure(NamedTuple):
 class DecisionMaker(ABC):
     """Pluggable chain-selection policy.
 
-    ``init`` gets the store and module name once, when a runtime or
-    ``decisionMaker(...)`` sets the maker up; the default policy ignores it.
+    A maker is handed nothing but requests.  The chain it returns must be a
+    function of the request: the epoch guard runs a remembered chain again
+    while the store epoch and the receiver's version are unchanged, and the
+    default policy memoises chains by the request's variants and snapshot.
     """
-
-    def init(self, config: Mapping) -> None:
-        pass
 
     @abstractmethod
     def decide(self, request: InvocationRequest) -> DecisionResponse:
@@ -170,9 +169,6 @@ class CountingDecisionMaker(DecisionMaker):
         self.inner = inner or DefaultDecisionMaker()
         self.decisions = 0
         self.seen: List[Tuple[str, str, Optional[int]]] = []
-
-    def init(self, config: Mapping) -> None:
-        self.inner.init(config)
 
     def decide(self, request: InvocationRequest) -> DecisionResponse:
         self.decisions += 1

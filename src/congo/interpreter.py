@@ -26,8 +26,9 @@ The two transports differ in nothing else: every reply is checked and
 turned into an error in one place, and the returned chain executes
 outermost-first with ``proceed()`` stepping inward.  Under the epoch guard
 each call site keeps the chain it last ran, and the site's generated code
-runs it again while the store epoch and the receiver are unchanged: a
-per-site inline cache (Deutsch & Schiffman, as above).
+runs it again while the store epoch and the receiver's version are
+unchanged: a per-site inline cache (Deutsch & Schiffman, as above).  No two
+objects, and no two states of one object, share a version.
 
 No call pushes anything for error reporting.  A ConGo error collects the
 ``(name, call span)`` of each call it unwinds, and :meth:`Runtime.call`
@@ -75,7 +76,6 @@ from .errors import (
     ContextEvaluationError,
     DecisionTimeoutError,
     DivisionByZeroError,
-    MissingBaseError,
     ProceedExhaustedError,
     RedefinitionError,
     StackOverflowError,
@@ -129,6 +129,7 @@ class DecisionMakerValue:
 
 
 _OBJECT_IDS = itertools.count(1)
+_VERSIONS = itertools.count(1)  # shared by all objects: no two states get one version
 
 
 class DynObject:
@@ -143,8 +144,7 @@ class DynObject:
         self.decision_maker: Optional[DecisionMaker] = None
         self.contexts_override: Optional[Tuple[str, ...]] = None
         self.properties: Dict[str, object] = {}
-        # bumped on define/decisionmaker/contexts so cached chains go stale
-        self.version = 0
+        self.version = next(_VERSIONS)
 
 
 Value = Union[int, float, str, bool, None, FunctionValue, DynObject, DecisionMakerValue]
@@ -267,28 +267,23 @@ class Runtime:
         if self._started:
             return self
         config = self._config
+        if isinstance(config.decision_maker, DecisionMaker):
+            dm = config.decision_maker
+        else:
+            dm = create_decision_maker(config.decision_maker)
+        self.global_dm = dm
         self.store = ConcreteValueStore()
         self.context_manager = ContextManager(self.store, self._lowered.context_ctors)
         for context, key, value in config.initial_values:
             self.store.set(context, key, value)
         self.bus = MessageBus(trace=config.trace)
-        try:
-            if isinstance(config.decision_maker, DecisionMaker):
-                dm = config.decision_maker
-            else:
-                dm = create_decision_maker(config.decision_maker)
-            dm.init({"store": self.store, "module": self._lowered.name})
-            self.global_dm = dm
-            if self._event:
-                attach_decision_maker(self.bus, dm)
-        except BaseException:
-            self.bus.shutdown()
-            raise
+        if self._event:
+            attach_decision_maker(self.bus, dm)
         # The epoch guard's memory, keyed by the site id of the call node,
         # or by function name for calls from the host.  Each entry is what
         # the last decision there needs to run again: (store epoch, receiver
-        # identity, receiver version, the first variant, the rest of the
-        # chain); a function has no receiver, so None for both.
+        # version, the first variant, the rest of the chain); a function
+        # has no receiver, so None for its version.
         self._sites: Dict[Union[int, str], Tuple] = {}
         self._request_ids = itertools.count(1)
         self._request_topic = request_topic_for(self._lowered.name)
@@ -311,7 +306,7 @@ class Runtime:
             if self._guard:
                 hit = self._sites.get(name)
                 if hit is not None and hit[0] == self.store.epoch:
-                    return self._invoke(hit[3], span, hit[4], args, None)
+                    return self._invoke(hit[2], span, hit[3], args, None)
             return self._dispatch(table, None, args, span, name)
         except CongoRuntimeError as exc:
             if exc.unwound:
@@ -347,7 +342,7 @@ class Runtime:
             span=span,
         )
         obj.methods[name] = table  # only once it holds a variant
-        obj.version += 1
+        obj.version = next(_VERSIONS)
         return obj
 
     def _obj_decisionmaker(self, obj: DynObject, args: Tuple, span) -> Value:
@@ -356,7 +351,7 @@ class Runtime:
                 "decisionmaker expects one decisionMaker(...) value", span
             )
         obj.decision_maker = args[0].dm
-        obj.version += 1
+        obj.version = next(_VERSIONS)
         return obj
 
     def _obj_contexts(self, obj: DynObject, args: Tuple, span) -> Value:
@@ -370,7 +365,7 @@ class Runtime:
                     span,
                 )
         obj.contexts_override = tuple(args)
-        obj.version += 1
+        obj.version = next(_VERSIONS)
         return obj
 
     _OBJECT_BUILTINS = {
@@ -391,13 +386,7 @@ class Runtime:
     ) -> Value:
         """Decide, check and run the chain of a call to a layered table that
         the epoch guard did not answer; under the guard, remember it."""
-        data = table.dispatch or table.dispatch_data()
-        if data.missing_base is not None:
-            raise MissingBaseError(
-                f"method '{table.function_name}' has a before/after layer "
-                "but no base variant to proceed to",
-                span,
-            )
+        data = table.dispatch or table.dispatch_data(span)
         identity = version = None
         dm, only = self.global_dm, None
         if receiver is not None:
@@ -437,7 +426,7 @@ class Runtime:
         chain = validate_response(request, reply, span, data)
         first, rest = chain[0], chain[1:]
         if self._guard:
-            self._sites[site_key] = (epoch, identity, version, first, rest)
+            self._sites[site_key] = (epoch, version, first, rest)
         return self._invoke(first, span, rest, args, receiver)
 
     def _invoke(
@@ -542,9 +531,7 @@ class Runtime:
     def _builtin_decision_maker(self, args: Tuple, span) -> Value:
         if len(args) != 1 or not isinstance(args[0], str):
             raise CallArityError("decisionMaker expects one registered name", span)
-        dm = create_decision_maker(args[0])
-        dm.init({"store": self.store, "module": self._lowered.name})
-        return DecisionMakerValue(args[0], dm)
+        return DecisionMakerValue(args[0], create_decision_maker(args[0]))
 
     _BUILTINS = {
         "println": _builtin_println,
@@ -962,15 +949,8 @@ class _Generator:
             self.emit(f"if {local} is not UNBOUND: "
                       f"{t} = interp._invoke({local}, {span}, None, {args}, None)")
             branch = "elif"
-        # no layers, else the chain the guard remembers here, else a decision
         self.emit(f"{branch} {table} is None: {t} = {builtin}(interp, {args}, {span})",
-                  f"elif not {table}.layers: "
-                  f"{t} = interp._invoke({table}.base, {span}, (), {args}, None)",
-                  "else:",
-                  f" {t} = interp._sites.get({site})",
-                  f" if {t} is not None and {t}[0] == interp.store.epoch: "
-                  f"{t} = interp._invoke({t}[3], {span}, {t}[4], {args}, None)",
-                  f" else: {t} = interp._dispatch({table}, None, {args}, {span}, {site})")
+                  *self.table_call(t, table, site, args, span))
         return t
 
     def method(self, node: nodes.MethodCall) -> str:
@@ -982,7 +962,7 @@ class _Generator:
         if builtin is not None:
             self.emit(f"{t} = {self.const(builtin)}(interp, {receiver}, {args}, {span})")
             return t
-        table, kname, site = fn.temp(), self.const(name), self.const(node.site_id)
+        table, kname = fn.temp(), self.const(name)
         # dynamic property access: zero args reads, one arg writes
         if not node.args:
             access = (f" {t} = {receiver}.properties.get({kname}, UNBOUND)",
@@ -991,19 +971,29 @@ class _Generator:
             access = (f" {receiver}.properties[{kname}] = {args[1:-2]}", f" {t} = {receiver}")
         else:
             access = (f" raise fault({k}, {receiver})",)
-        # the same three paths as a function call
         self.emit(f"{table} = {receiver}.methods.get({kname})",
                   f"if {table} is None:",
                   *access,
-                  f"elif not {table}.layers: "
-                  f"{t} = interp._invoke({table}.base, {span}, (), {args}, {receiver})",
-                  "else:",
-                  f" {t} = interp._sites.get({site})",
-                  f" if {t} is not None and {t}[0] == interp.store.epoch"
-                  f" and {t}[1] == {receiver}.identity and {t}[2] == {receiver}.version: "
-                  f"{t} = interp._invoke({t}[3], {span}, {t}[4], {args}, {receiver})",
-                  f" else: {t} = interp._dispatch({table}, {receiver}, {args}, {span}, {site})")
+                  *self.table_call(t, table, self.const(node.site_id), args, span, receiver))
         return t
+
+    def table_call(self, t: str, table: str, site: str, args: str, span: str,
+                   receiver: Optional[str] = None) -> Tuple[str, ...]:
+        """The branches that call a found ``table`` into ``t``: its base when
+        it has no layers, else the chain the guard remembers at ``site``
+        while the store epoch and the receiver's version are unchanged, else
+        a decision.  They follow the branch for a missing table."""
+        hit = f"{t} is not None and {t}[0] == interp.store.epoch"
+        if receiver is None:
+            receiver = "None"
+        else:
+            hit += f" and {t}[1] == {receiver}.version"
+        return (f"elif not {table}.layers: "
+                f"{t} = interp._invoke({table}.base, {span}, (), {args}, {receiver})",
+                "else:",
+                f" {t} = interp._sites.get({site})",
+                f" if {hit}: {t} = interp._invoke({t}[2], {span}, {t}[3], {args}, {receiver})",
+                f" else: {t} = interp._dispatch({table}, {receiver}, {args}, {span}, {site})")
 
     def proceed(self, node: nodes.Proceed) -> str:
         span, scope, depth = self.const(node.span), self.fn.scope, 0

@@ -86,8 +86,6 @@ class DispatchData:
     arity: int
     specs: Tuple[VariantSpec, ...]
     by_id: Dict[VariantId, Variant]
-    # a before/after layer with no base to proceed to, or None
-    missing_base: Optional[Variant]
     # chains that passed validate_response -> the variants they name
     chains: Dict[Tuple[VariantId, ...], Tuple[Variant, ...]]
     # (the chain validate_response passed last, its variants); runtimes on
@@ -116,15 +114,23 @@ class VariantTable:
             (v for v in self.layers if v.mode is not nodes.LayerMode.REPLACE), None
         )
 
-    def dispatch_data(self) -> DispatchData:
+    def dispatch_data(self, span: Optional[nodes.SourceSpan] = None) -> DispatchData:
+        """The table's dispatch data, built once.  While a before/after layer
+        has no base to proceed to, a call at ``span`` is a MissingBaseError
+        and nothing is cached."""
         data = self.dispatch
         if data is None:
+            if self.missing_base_layer() is not None:
+                raise MissingBaseError(
+                    f"method '{self.function_name}' has a before/after layer "
+                    "but no base variant to proceed to",
+                    span,
+                )
             variants = self.variants()
             data = self.dispatch = DispatchData(
                 variants[0].arity,
                 tuple(VariantSpec(v.variant_id, v.constraints, v.mode) for v in variants),
                 {v.variant_id: v for v in variants},
-                self.missing_base_layer(),
                 {},
             )
         return data
@@ -256,8 +262,9 @@ def lower(ast: nodes.ModuleAst) -> LoweredModule:
     # proceed may only appear where a dispatch chain can be active: in a
     # layer body, or in the base of a function that has layers (where it
     # fails at runtime once the chain is exhausted).  Nested lambdas are
-    # runtime values whose role is unknown here; their proceeds are
-    # checked by the interpreter's frame barriers instead.
+    # runtime values whose role is unknown here: a local lambda's call
+    # carries no chain, so a proceed() in one raises ProceedExhaustedError
+    # when it runs.
     for decl in ast.decls:
         if decl.fn.annotation is None and not tables[decl.name].layers:
             for node in nodes.walk(decl.fn, into_lambdas=False):

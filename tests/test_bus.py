@@ -616,6 +616,26 @@ def test_trace_lines_name_seq_topic_and_kind():
     assert f"SEQ {seq} t/tr str" in lines
 
 
+def test_a_trace_hook_that_raises_stops_neither_handlers_nor_later_lines(caplog):
+    lines, got = [], []
+
+    def hook(line):
+        lines.append(line)
+        if len(lines) == 1:
+            raise RuntimeError("the trace hook broke")
+
+    with MessageBus(trace=hook) as bus:
+        bus.subscribe(Topic.parse("t/tr"), lambda m: got.append(m.payload))
+        first = bus.publish(Topic.parse("t/tr"), 1)
+        second = bus.publish(Topic.parse("t/tr"), 2)
+        drain(bus)
+    assert got == [1, 2]
+    assert lines[:2] == [f"SEQ {first} t/tr int", f"SEQ {second} t/tr int"]
+    assert [r.getMessage() for r in caplog.records if r.name == "congo.bus"] == [
+        "subscriber raised while handling t/tr"
+    ]
+
+
 # --- the dispatcher's wake-up ----------------------------------------------------
 
 

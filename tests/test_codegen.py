@@ -199,7 +199,7 @@ CLASH_NAMES = {"frame", "interp", "make", "body", "t0", "k0", "_UNBOUND", "s0", 
 SCHEME_NAMES = set(interpreter_module._GLOBALS) | {
     "type", "int", "isinstance",
     "_tables", "_BUILTINS", "get", "layers", "base", "_invoke", "_sites", "store",
-    "epoch", "_dispatch", "methods", "properties", "identity", "version",
+    "epoch", "_dispatch", "methods", "properties", "version",
 }
 SCHEME_LOCAL = re.compile(r"(interp|frame|[tskb][0-9]+)\Z")
 

@@ -180,13 +180,6 @@ def test_response_echoes_request_id_and_epoch():
     assert response.epoch == request.snapshot_epoch
 
 
-def test_init_and_train_are_noops():
-    dm = DefaultDecisionMaker()
-    dm.init({"anything": 1})
-    request = make_request([base_spec()], {})
-    assert chain_names(dm.decide(request)) == ["f"]
-
-
 # oracle: recompute eligibility + LIFO composition from first principles
 def lifo_oracle(request):
     eligible = [

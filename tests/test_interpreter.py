@@ -1177,6 +1177,37 @@ def test_epoch_guard_distinguishes_receivers():
     assert result == "???" * 3
 
 
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_objects_with_one_define_history_run_their_own_chains_at_one_site(mode):
+    src = (
+        "module m\n"
+        "contexts = [ConfusedHero()]\n"
+        "function make = |n| {\n"
+        "  let o = DynamicObject()\n"
+        "  o: define(\"get\", |this| -> n)\n"
+        "  o: define(\"get\", |this| @(ConfusedHero=TRUE) -> proceed() + 1)\n"
+        "  return o\n"
+        "}\n"
+        "function probe = |o| -> o: get()\n"
+        "function main = || {\n"
+        "  let a = make(10)\n"
+        "  let b = make(20)\n"
+        "  return \"\" + probe(a) + \",\" + probe(b) + \",\" + probe(a) + \",\" + probe(b)\n"
+        "}\n"
+    )
+    dm = CountingDecisionMaker(DefaultDecisionMaker())
+    result, _ = run_program(
+        src,
+        mode=mode,
+        policy=CachePolicy.EPOCH_GUARD,
+        decision_maker=dm,
+        initial=[("ConfusedHero", "confused", True)],
+    )
+    assert result == "11,21,11,21"
+    # one site, and each call's receiver differs from the one remembered there
+    assert dm.decisions == 4
+
+
 def test_defining_a_layer_invalidates_cached_chains():
     src = (
         "module m\n"
@@ -1942,6 +1973,64 @@ def test_one_default_maker_serves_event_runtimes_concurrently():
 def test_unknown_decision_maker_name_fails_at_start():
     with pytest.raises(UnknownDecisionMakerError):
         run_program(LAYERED, decision_maker="nope", **contextual_args())
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_an_unknown_maker_name_fails_start_before_the_bus_is_built(mode):
+    threads_before = threading.active_count()
+    runtime = Runtime(
+        compile_source(LAYERED, file="<test>"),
+        RunConfig(dispatch_mode=mode, decision_maker="nope"),
+    )
+    with pytest.raises(UnknownDecisionMakerError):
+        runtime.start()
+    assert runtime.bus is None
+    assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.EVENT, DispatchMode.DIRECT])
+def test_a_decision_maker_is_handed_nothing_but_requests(mode):
+    made, inits = [], []
+
+    class RecordsInit(DefaultDecisionMaker):
+        def __init__(self):
+            super().__init__()
+            self.decided = 0
+            made.append(self)
+
+        def init(self, *args):
+            inits.append(args)
+
+        def decide(self, request):
+            self.decided += 1
+            return super().decide(request)
+
+    src = (
+        "module m\n"
+        "contexts = [ConfusedHero()]\n"
+        "function f = |x| -> x\n"
+        "function f = |x| @(ConfusedHero=TRUE) -> proceed(x + 1)\n"
+        "function main = || {\n"
+        "  let o = DynamicObject()\n"
+        "  o: define(\"g\", |this| -> 10)\n"
+        "  o: define(\"g\", |this| @(ConfusedHero=TRUE) -> proceed() + 1)\n"
+        "  o: decisionmaker(decisionMaker(\"records-init\"))\n"
+        "  return f(1) + o: g()\n"
+        "}\n"
+    )
+    register_decision_maker("records-init", RecordsInit)
+    try:
+        # one maker passed in, one registered, and one per object each run
+        for maker in (RecordsInit(), "records-init"):
+            result, _ = run_program(
+                src, mode=mode, decision_maker=maker,
+                initial=[("ConfusedHero", "confused", True)],
+            )
+            assert result == 2 + 11
+    finally:
+        unregister_decision_maker("records-init")
+    assert [m.decided for m in made] == [1, 1, 1, 1]
+    assert inits == []
 
 
 def test_named_decision_maker_resolved_from_registry():
