@@ -1,8 +1,10 @@
 """Micro-benchmark harness for plain vs contextual call throughput.
 
-Four generated programs are measured: a single plain function, a single
-one-layer contextual function, ten nested plain functions, and one
-function with ten stacked always-eligible layers chained via proceed().
+Five generated programs are measured: a single plain function, a single
+one-layer contextual function, ten nested plain functions, one function
+with ten stacked always-eligible layers chained via a bare proceed(), and
+the same ten layers computing around their proceed(x + k), so that the
+cost of running a chain shows too.
 Each benchmark gets a fresh runtime; scores are operations per
 millisecond (median over the measurement iterations) with the relative
 error reported alongside.  Runs whose relative error reaches 10% are
@@ -29,6 +31,7 @@ BENCHMARK_NAMES = (
     "contextual_single",
     "plain_layered10",
     "contextual_layered10",
+    "contextual_compute10",
 )
 
 UNSTABLE_THRESHOLD = 0.10
@@ -81,11 +84,22 @@ def _contextual_layered10_source() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _contextual_compute10_source() -> str:
+    lines = ["module bench.contextual_compute10", "", "contexts = [BenchStack()]", ""]
+    lines.append("function work = |x| -> x * x + 1")
+    for layer in range(1, 11):
+        lines.append(
+            f"function work = |x| @(BenchStack=L{layer}) -> proceed(x + {layer}) * 2 - x"
+        )
+    return "\n".join(lines) + "\n"
+
+
 _SOURCES = {
     "plain_single": _plain_single_source,
     "contextual_single": _contextual_single_source,
     "plain_layered10": _plain_layered10_source,
     "contextual_layered10": _contextual_layered10_source,
+    "contextual_compute10": _contextual_compute10_source,
 }
 
 

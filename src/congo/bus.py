@@ -2,17 +2,21 @@
 
 One dedicated dispatcher thread runs every handler sequentially, so
 publishers never execute handlers inline and per-subscription delivery
-is FIFO in publish order.  ``publish`` picks a message's subscribers
-when it is called: a subscription made after a publish does not receive
-that message, and a message that no subscription matches is not queued
-at all (its sequence number is still used up).  A trace hook is one more
-subscriber, to every topic, made before any other, so it sees every
-message before that message's handlers do.
-Each topic's subscriber list is found once and kept, under ``_lock``, for
-the next publish on that topic.  Every ``subscribe`` and ``unsubscribe``
-empties the kept lists, and so does a publish that finds ``_ROUTES_CAP``
-(1024) topics kept.  The topic of a reply that a waiter claims is not
-kept: a reply topic is used once.
+is FIFO in publish order.  The thread and its wake pipe start with the
+first subscription: a bus nobody subscribes to owns neither.  ``publish``
+picks a message's subscribers when it is called: a subscription made
+after a publish does not receive that message, and a message that no
+subscription matches is not queued at all (its sequence number is still
+used up).  A trace hook is one more subscriber, to every topic, made
+before any other, so it sees every message before that message's
+handlers do.
+Subscribers are found once per parent topic (all segments but the last)
+and kept, under ``_lock``: the wildcard subscriptions that cover the
+parent, and the full list of each topic under it that some subscription
+names exactly.  So a publish finds its subscribers with two lookups in C,
+and the one-use reply topics of ``request_reply`` share one entry.
+Every ``subscribe`` and ``unsubscribe`` empties the kept lists, and so
+does a publish that finds ``_ROUTES_CAP`` (1024) parents kept.
 
 ``request_reply`` layers a blocking request/response protocol on top;
 calling it from the dispatcher thread would deadlock the bus, so that
@@ -43,10 +47,10 @@ Those two hand-offs set the floor of a round trip.  On a 2-vCPU host
 the same pipe wake and a new waiter lock per trip takes about 3 us, and a
 ``request_reply`` to an echo handler about 8 us.  The rest is Python-level
 plumbing, kept to a few frames: ``request_reply``, ``_PendingReply`` and
-``_post`` on the caller; ``publish``, ``_post`` and the scan of the
-claimed reply's topic on the dispatcher.  Topics hash and compare in C,
-messages are built with ``tuple.__new__``, re-entry is a comparison of
-thread idents, and the dispatcher delivers inline.
+``_post`` on the caller; ``publish`` and ``_post`` on the dispatcher.
+Topics hash and compare in C, messages are built with ``tuple.__new__``,
+re-entry is a comparison of thread idents, and the dispatcher delivers
+inline.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .errors import BusClosedError, DecisionTimeoutError, ReentrantDispatchError
 log = logging.getLogger("congo.bus")
 
 DEFAULT_REPLY_TIMEOUT = 5.0
-_ROUTES_CAP = 1024  # the most topics whose subscriber lists a bus keeps
+_ROUTES_CAP = 1024  # the most parent topics whose subscriber lists a bus keeps
 _new = tuple.__new__  # builds a Topic or a Message with no Python-level call
 
 
@@ -131,7 +135,7 @@ class _PendingReply:
 
 
 class MessageBus:
-    """Single-dispatcher message bus. Starts its thread on construction."""
+    """Single-dispatcher message bus. Starts its thread with the first subscription."""
 
     def __init__(self, *, trace: Optional[Callable[[str], None]] = None):
         self._lock = threading.Lock()
@@ -140,14 +144,19 @@ class MessageBus:
         # True while the dispatcher waits, or is about to wait, on the pipe
         # with nobody committed to wake it; guarded by _lock
         self._idle = False
-        self._wake_read, self._wake_write = os.pipe()
+        # the dispatcher and its wake pipe, from the first subscription on
+        self._thread: Optional[threading.Thread] = None
+        self._ident: Optional[int] = None  # compared with threading.get_ident()
+        self._wake_read = self._wake_write = -1
         # Held for the whole delivery of one message; unsubscribe uses it
         # as a barrier so no handler starts after unsubscribe returns.
         self._delivery_lock = threading.Lock()
         self._subscriptions: List[Subscription] = []
-        # topic -> its subscribers, as publish last found them; emptied by
-        # every subscribe and unsubscribe, and when full; guarded by _lock
-        self._routes: Dict[Topic, List[Subscription]] = {}
+        # a topic's parent segments -> (the wildcard subscriptions covering
+        # it, {last segment: subscribers} of each topic named exactly), as
+        # _route found them; emptied by every subscribe and unsubscribe,
+        # and when full; guarded by _lock
+        self._routes: Dict[Tuple[str, ...], tuple] = {}
         # reply topic -> the request_reply waiting on it; guarded by _lock
         self._pending: Dict[Topic, _PendingReply] = {}
         self._seq = 0
@@ -158,16 +167,7 @@ class MessageBus:
                       f"{type(message.payload).__name__}")
 
             # the first subscription, so its line comes before a message's handlers
-            self._subscriptions.append(Subscription(Topic(("*",)), traced))
-        self._thread = threading.Thread(
-            target=self._dispatch_loop, name="congo-bus", daemon=True
-        )
-        try:
-            self._thread.start()
-        except BaseException:
-            self._close_pipe()
-            raise
-        self._ident = self._thread.ident  # compared with threading.get_ident()
+            self.subscribe(Topic(("*",)), traced)
 
     # --- core operations ---------------------------------------------------
 
@@ -199,17 +199,16 @@ class MessageBus:
                 self._pending[reply_topic] = pending
             self._seq += 1
             seq = self._seq
-            claimed = self._pending.pop(topic, None) if self._pending else None
-            if claimed is not None:
-                claimed.reply = payload
-                claimed.waiter.release()
-            targets = self._routes.get(topic)
-            if targets is None:
-                targets = [s for s in self._subscriptions if s.pattern.matches(topic)]
-                if claimed is None:  # a reply topic is used once: not worth a slot
-                    if len(self._routes) >= _ROUTES_CAP:
-                        self._routes = {}
-                    self._routes[topic] = targets
+            if self._pending:
+                claimed = self._pending.pop(topic, None)
+                if claimed is not None:
+                    claimed.reply = payload
+                    claimed.waiter.release()
+            segments = topic[0]
+            route = self._routes.get(segments[:-1])
+            if route is None:
+                route = self._route(segments[:-1])
+            targets = route[1].get(segments[-1], route[0])
             if targets:
                 self._queue.append((_new(Message, (topic, payload, seq)), targets))
                 wake, self._idle = self._idle, False
@@ -217,13 +216,47 @@ class MessageBus:
             os.write(self._wake_write, b"\0")
         return seq
 
+    def _route(self, parent: Tuple[str, ...]) -> tuple:
+        """Find and keep the subscribers of the topics under ``parent``; under ``_lock``."""
+        covering, exact = [], {}
+        for subscription in self._subscriptions:
+            segments = subscription.pattern.segments
+            if segments[-1] == "*":
+                if parent[: len(segments) - 1] == segments[:-1]:
+                    covering.append(subscription)
+                    for targets in exact.values():
+                        targets.append(subscription)
+            elif segments[:-1] == parent:
+                exact.setdefault(segments[-1], list(covering)).append(subscription)
+        if len(self._routes) >= _ROUTES_CAP:
+            self._routes = {}
+        route = self._routes[parent] = (covering, exact)
+        return route
+
     def subscribe(self, pattern: Topic, handler: Callable[[Message], None]) -> Subscription:
-        """Receive every message published on a matching topic from now on."""
+        """Receive every message published on a matching topic from now on.
+
+        The first subscription to an open bus starts its dispatcher; if the
+        thread cannot start, this raises and subscribes nothing.
+        """
         subscription = Subscription(pattern, handler)
         with self._lock:
+            if self._thread is None and not self._closed:
+                self._start_dispatcher()
             self._subscriptions.append(subscription)
             self._routes = {}
         return subscription
+
+    def _start_dispatcher(self) -> None:
+        # under _lock: the new thread takes it before it reads anything
+        self._wake_read, self._wake_write = os.pipe()
+        thread = threading.Thread(target=self._dispatch_loop, name="congo-bus", daemon=True)
+        try:
+            thread.start()
+        except BaseException:
+            self._close_pipe()
+            raise
+        self._thread, self._ident = thread, thread.ident
 
     def unsubscribe(self, subscription: Subscription) -> None:
         """Deactivate; once this returns the handler sees no more messages."""
@@ -283,12 +316,14 @@ class MessageBus:
             return True
 
     def shutdown(self) -> None:
-        """Stop the dispatcher after draining already-queued messages."""
+        """Stop the dispatcher, if one started, after draining already-queued messages."""
         with self._lock:
             if self._closed:
                 return
-            self._closed = True
+            self._closed = True  # so no subscribe starts a dispatcher from now on
             wake, self._idle = self._idle, False
+        if self._thread is None:
+            return
         if wake:
             os.write(self._wake_write, b"\0")
         self._thread.join()

@@ -7,14 +7,6 @@ import json
 import sys
 from typing import List, Optional
 
-from .bench import (
-    BENCHMARK_NAMES,
-    BenchConfig,
-    format_table,
-    results_payload,
-    run_benchmarks,
-    run_property_checks,
-)
 from .context import parse_concrete_assignment, parse_feed
 from .errors import CongoError, ReadError
 from .interpreter import CachePolicy, DispatchMode, RunConfig, run
@@ -24,7 +16,7 @@ _MODES = {"event": DispatchMode.EVENT, "direct": DispatchMode.DIRECT}
 _CACHES = {"none": CachePolicy.NONE, "guard": CachePolicy.EPOCH_GUARD}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: List[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="congo", description="ConGo language tools")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -45,6 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the variant tables instead of executing")
 
     bench_p = sub.add_parser("bench", help="run the micro-benchmarks")
+    if "bench" not in argv:  # not a bench run: skip importing the harness
+        return parser
+    from .bench import BENCHMARK_NAMES
+
     bench_p.add_argument("--json", dest="json_out", metavar="FILE",
                          help="also write results as JSON")
     bench_p.add_argument("--mode", choices=sorted(_MODES), default="event")
@@ -105,6 +101,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import (
+        BenchConfig, format_table, results_payload, run_benchmarks, run_property_checks,
+    )
+
     status, checks = 0, None
     try:
         if args.check:
@@ -143,7 +143,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -16,7 +16,8 @@ import threading
 import types
 from abc import ABC, abstractmethod
 from typing import (
-    Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple,
+    Union,
 )
 
 from .errors import ContextEvaluationError, FeedError, UnknownContextCtorError
@@ -26,14 +27,22 @@ Scalar = Union[bool, int, float, str]
 _META_SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _MAX_STATES = 256  # the most meta states one ContextManager keeps snapshots of
 _READ_THE_VIEW = "a context descriptor must read the view it is handed, not the store"
+_SCALARS = (bool, int, float, str)
 
 
 def is_scalar(value: object) -> bool:
-    return isinstance(value, (bool, int, float, str))
+    return isinstance(value, _SCALARS)
 
 
 def is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_scalar(value: object) -> None:
+    if not isinstance(value, _SCALARS):
+        raise ValueError(
+            f"concrete values must be bool/int/float/str, got {type(value).__name__}"
+        )
 
 
 class ConcreteValueStore:
@@ -43,23 +52,28 @@ class ConcreteValueStore:
     so a ``set``, ``get`` or pass started from inside one raises at once.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, initial: Iterable[Tuple[str, str, Scalar]] = ()) -> None:
+        """A store holding ``initial``'s (context, key, value) triples, as if
+        each were ``set`` in turn: epoch n after n of them."""
         self._entries: Dict[Tuple[str, str], Scalar] = {}
         # (context, key) -> the epoch of its last write; absent if never written
         self._stamps: Dict[Tuple[str, str], int] = {}
+        epoch = 0
+        for context, key, value in initial:
+            _check_scalar(value)
+            epoch += 1
+            self._entries[(context, key)] = value
+            self._stamps[(context, key)] = epoch
         # read lock-free (int loads are atomic, and guard re-checks only
         # compare); only set() writes it, under _lock
-        self.epoch = 0
+        self.epoch = epoch
         self._lock = threading.Lock()
         # the ident of the thread running a pass under _lock, or None
         self._evaluating: Optional[int] = None
 
     def set(self, context: str, key: str, value: Scalar) -> int:
         """Store one value and return the new epoch."""
-        if not is_scalar(value):
-            raise ValueError(
-                f"concrete values must be bool/int/float/str, got {type(value).__name__}"
-            )
+        _check_scalar(value)
         self._refuse_from_a_pass("a context descriptor must not write the store")
         with self._lock:
             self.epoch += 1

@@ -272,10 +272,8 @@ class Runtime:
         else:
             dm = create_decision_maker(config.decision_maker)
         self.global_dm = dm
-        self.store = ConcreteValueStore()
+        self.store = ConcreteValueStore(config.initial_values)
         self.context_manager = ContextManager(self.store, self._lowered.context_ctors)
-        for context, key, value in config.initial_values:
-            self.store.set(context, key, value)
         self.bus = MessageBus(trace=config.trace)
         if self._event:
             attach_decision_maker(self.bus, dm)

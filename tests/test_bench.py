@@ -48,6 +48,13 @@ def test_workloads_compute_distinct_values():
     assert result_of("plain_layered10") == 8
     assert result_of("contextual_layered10") == 8  # every layer proceeds to base
 
+    def inlined(x, layer=10):  # last-declared layer outermost, the base innermost
+        if layer == 0:
+            return x * x + 1
+        return inlined(x + layer, layer - 1) * 2 - x
+
+    assert result_of("contextual_compute10") == inlined(7)
+
 
 @pytest.mark.parametrize(
     "kw",

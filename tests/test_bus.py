@@ -14,7 +14,7 @@ from congo import bus as bus_module
 from congo.bus import MessageBus, Topic
 from congo.decision import reply_topic_for
 from congo.errors import BusClosedError, DecisionTimeoutError, ReentrantDispatchError
-from congo.interpreter import RunConfig, Runtime
+from congo.interpreter import DispatchMode, RunConfig, Runtime
 from congo.lowering import compile_source
 
 
@@ -87,6 +87,24 @@ def test_matching_against_brute_force_oracle(pattern_head, wildcard, topic_segme
     else:
         expected = list(topic.segments) == pattern_head
     assert pattern.matches(topic) is expected
+
+
+_pattern = st.tuples(st.lists(_seg, max_size=3), st.booleans()).filter(
+    lambda p: p[0] or p[1]
+).map(lambda p: Topic(tuple(p[0]) + (("*",) if p[1] else ())))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_pattern, max_size=6), st.lists(st.lists(_seg, min_size=1, max_size=4),
+                                                 min_size=1, max_size=6))
+def test_a_kept_subscriber_list_is_every_match_in_subscription_order(patterns, topics):
+    bus = MessageBus()
+    bus._subscriptions = [bus_module.Subscription(p, print) for p in patterns]  # no dispatcher
+    for segments in map(tuple, topics):
+        expected = [s for s in bus._subscriptions if s.pattern.matches(Topic(segments))]
+        route = bus._routes.get(segments[:-1]) or bus._route(segments[:-1])
+        assert route[1].get(segments[-1], route[0]) == expected
+    assert len(bus._routes) == len({tuple(t[:-1]) for t in topics})
 
 
 @pytest.mark.parametrize("make,text", [
@@ -255,7 +273,8 @@ def test_a_claimed_reply_reaches_subscribers_of_its_topic_and_the_trace():
             assert bus.request_reply(
                 Topic.parse("t/ask"), i, Topic.parse("t/reply/same")
             ) == i
-        assert Topic.parse("t/reply/same") not in bus._routes
+        # kept per parent topic: the reply topic shares the slot of t/reply
+        assert set(bus._routes) == {("t",), ("t", "reply")}
         drain(bus)
     assert seen == [0, 1, 2]
     assert sum(line.endswith(" t/reply/same int") for line in lines) == 3
@@ -268,15 +287,16 @@ def test_the_subscriber_lists_stay_within_their_cap_and_no_reply_stays_pending(b
     )
     for i in range(10_000):
         assert bus.request_reply(Topic.parse("t/echo"), i, Topic.parse(f"t/reply/{i}")) == i
-    assert list(bus._routes) == [Topic.parse("t/echo")]  # no reply topic
+    # one slot for t/echo's parent and one that all 10,000 reply topics share
+    assert set(bus._routes) == {("t",), ("t", "reply")}
     drain(bus)
     assert bus._pending == {}
-    for i in range(bus_module._ROUTES_CAP + 10):
-        bus.publish(Topic(("t", "many", str(i))), i)
+    for i in range(bus_module._ROUTES_CAP + 10):  # each under a parent of its own
+        bus.publish(Topic(("t", "many", str(i), "x")), i)
     assert 0 < len(bus._routes) <= bus_module._ROUTES_CAP
     got = []
     bus.subscribe(Topic.parse("t/many/*"), lambda m: got.append(m.payload))
-    bus.publish(Topic.parse("t/many/0"), "again")
+    bus.publish(Topic.parse("t/many/0/x"), "again")
     drain(bus)
     assert got == ["again"]
     assert bus._pending == {}
@@ -725,7 +745,12 @@ def test_start_and_shutdown_leak_no_thread_or_descriptor():
     threads, fds = threading.active_count(), _open_fds()
     for _ in range(200):
         with MessageBus() as bus:
+            bus.subscribe(Topic.parse("t/a"), lambda m: None)  # starts the dispatcher
             bus.publish(Topic.parse("t/a"), None)
+    for _ in range(200):
+        with MessageBus() as bus:  # nobody subscribes: no dispatcher to stop
+            bus.publish(Topic.parse("t/a"), None)
+        assert bus._thread is None
     config = RunConfig(initial_values=(("Weather", "rainfall_mm", 7.0),))
     for _ in range(50):
         with Runtime(lowered, config) as runtime:
@@ -733,3 +758,98 @@ def test_start_and_shutdown_leak_no_thread_or_descriptor():
     assert threading.active_count() == threads
     if fds is not None:
         assert _open_fds() == fds
+
+
+_WRITES = _ONE_LAYER + (
+    "function wet = |x| {\n"
+    '  setConcrete("Weather", "rainfall_mm", 9.0)\n'
+    "  return f(x)\n"
+    "}\n"
+)
+
+
+def test_a_direct_runtime_without_a_trace_owns_no_thread_or_descriptor():
+    lowered = compile_source(_WRITES, file="<test>")
+    before = threading.active_count(), _open_fds()
+    runtime = Runtime(lowered, RunConfig(dispatch_mode=DispatchMode.DIRECT)).start()
+    try:
+        assert runtime.bus._thread is None
+        assert (threading.active_count(), _open_fds()) == before
+        assert runtime.call("wet", (1,)) == 2  # publishes a ContextChanged nobody hears
+        assert (threading.active_count(), _open_fds()) == before
+    finally:
+        runtime.shutdown()
+    assert (threading.active_count(), _open_fds()) == before
+    lines = []
+    config = RunConfig(dispatch_mode=DispatchMode.DIRECT, trace=lines.append)
+    with Runtime(lowered, config) as runtime:
+        assert runtime.bus._thread.is_alive()
+        assert threading.active_count() == before[0] + 1
+        assert runtime.call("wet", (1,)) == 2
+    assert any(line.endswith(" congo/context/changed/Weather ContextChanged")
+               for line in lines), lines
+    assert threading.active_count() == before[0]
+
+
+def test_an_event_runtime_has_its_dispatcher_running_once_started():
+    with Runtime(compile_source(_ONE_LAYER, file="<test>"), RunConfig()) as runtime:
+        assert runtime.bus._thread.is_alive()
+    assert not runtime.bus._thread.is_alive()
+
+
+def test_a_non_scalar_initial_value_fails_start_before_the_bus_is_built():
+    threads = threading.active_count()
+    for mode in DispatchMode:
+        runtime = Runtime(compile_source(_ONE_LAYER, file="<test>"), RunConfig(
+            dispatch_mode=mode, initial_values=(("Weather", "rainfall_mm", [7.0]),)))
+        with pytest.raises(ValueError, match="concrete values must be"):
+            runtime.start()
+        assert runtime.bus is None
+    assert threading.active_count() == threads
+
+
+def test_a_bus_without_a_dispatcher_still_hands_a_host_reply_to_its_waiter():
+    before = threading.active_count(), _open_fds()
+    bus = MessageBus()
+    got = []
+    waiter = threading.Thread(target=lambda: got.append(
+        bus.request_reply(Topic.parse("t/ask"), None, Topic.parse("t/reply/1"))))
+    waiter.start()
+    deadline = time.monotonic() + 5.0
+    while Topic.parse("t/reply/1") not in bus._pending:
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    bus.publish(Topic.parse("t/reply/1"), "answer")  # from this host thread
+    waiter.join(5.0)
+    assert got == ["answer"]
+    assert bus._pending == {} and bus._queue == []
+    with pytest.raises(DecisionTimeoutError):
+        bus.request_reply(Topic.parse("t/ask"), None, Topic.parse("t/reply/2"), timeout=0.05)
+    assert bus._pending == {}
+    assert bus._thread is None
+    bus.shutdown()
+    bus.subscribe(Topic.parse("t/late"), lambda m: None)  # a closed bus starts nothing
+    assert bus._thread is None
+    assert (threading.active_count(), _open_fds()) == before
+
+
+def test_a_dispatcher_that_cannot_start_leaves_nothing_behind(monkeypatch):
+    before = threading.active_count(), _open_fds()
+
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    bus = MessageBus()
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        bus.subscribe(Topic.parse("t/a"), lambda m: None)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        MessageBus(trace=lambda line: None)
+    monkeypatch.undo()
+    assert bus._subscriptions == [] and bus._thread is None
+    assert (threading.active_count(), _open_fds()) == before
+    bus.publish(Topic.parse("t/a"), None)  # nobody subscribed, so nothing is queued
+    assert bus._queue == []
+    bus.shutdown()
+    assert bus.closed
+    assert (threading.active_count(), _open_fds()) == before

@@ -443,6 +443,19 @@ def test_bench_check_rejects_the_settings_bench_rejects(capsys, setting):
 
 def test_bench_rejects_unknown_benchmark_name(capsys):
     assert main(["bench", "--benchmarks", "nope"]) == 2
+    assert "invalid choice: 'nope' (choose from 'plain_single', " in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_bench_harness():
+    env = dict(os.environ, PYTHONPATH=str(Path(congo.__file__).parent.parent))
+    probe = (
+        "import sys, congo.cli\n"
+        "print([m for m in ('congo.bench', 'statistics', 'fractions', 'platform')"
+        " if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -85,6 +85,32 @@ def test_store_rejects_non_scalars():
         store.set("C", "k", [1, 2])
 
 
+_scalars = st.one_of(st.booleans(), st.integers(), st.floats(allow_nan=False), st.text())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from("AB"), st.sampled_from("xyz"), _scalars),
+                max_size=12))
+def test_a_store_given_its_initial_values_equals_one_written_by_set(triples):
+    written = ConcreteValueStore()
+    for context, key, value in triples:
+        written.set(context, key, value)
+    built = ConcreteValueStore(triples)
+    assert built._entries == written._entries
+    assert built._stamps == written._stamps
+    assert built.epoch == written.epoch == len(triples)
+    assert built.set("A", "x", 1) == len(triples) + 1
+
+
+@pytest.mark.parametrize("value", [[1, 2], None, b"raw"])
+def test_an_initial_non_scalar_raises_what_set_raises(value):
+    with pytest.raises(ValueError) as by_set:
+        ConcreteValueStore().set("C", "k", value)
+    with pytest.raises(ValueError) as by_constructor:
+        ConcreteValueStore((("C", "j", 1), ("C", "k", value)))
+    assert str(by_constructor.value) == str(by_set.value)
+
+
 def test_threaded_writes_never_share_an_epoch():
     store = ConcreteValueStore()
     per_thread = 200
